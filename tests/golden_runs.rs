@@ -3,14 +3,14 @@
 //!
 //! Every registered scenario runs a short deterministic training cell
 //! under {Ideal, Sampled, Noisy, Trajectory} × {Serial, Batched}. Under
-//! **Ideal**, **Noisy** and **Trajectory** the (reward, loss, entropy,
-//! final parameter) fingerprint is asserted bit-exactly against the
-//! committed tables below — any change to the simulators (statevector,
+//! every backend the (reward, loss, entropy, final parameter)
+//! fingerprint is asserted bit-exactly against the committed tables
+//! below — any change to the simulators (statevector, shot sampling,
 //! superoperator density, trajectory sampling), the gradient engines,
 //! the rollout collectors, the update sweep, the environments or the
 //! seeding contract shows up here. Under **Sampled** the two engines
-//! must agree bit-exactly with each other and with a re-run (the
-//! content-addressed shot-stream contract).
+//! must also agree bit-exactly with a re-run (the content-addressed
+//! shot-stream contract).
 //!
 //! When an *intentional* change shifts the numbers, regenerate the
 //! tables with:
@@ -102,6 +102,17 @@ const GOLDEN_TRAJECTORY: &[(&str, u64)] = &[
     ("single-hop-bursty", 0xfc35fff1bcb40a91),
     ("single-hop-wide", 0x630eba60712ed1fc),
     ("two-tier", 0x1968f50000944bcf),
+];
+
+/// Committed fingerprints for a short Sampled (finite-shot readout,
+/// parameter-shift gradients) training cell, one per registered
+/// scenario: pins the content-addressed shot streams and the shift
+/// evaluations that consume them.
+const GOLDEN_SAMPLED: &[(&str, u64)] = &[
+    ("single-hop", 0x9b78a3ee08bb1c5),
+    ("single-hop-bursty", 0xdedaaf4f86b0ef2),
+    ("single-hop-wide", 0xe1b0a569171b51d6),
+    ("two-tier", 0x816d05a944ed5d5b),
 ];
 
 /// Shared driver for a committed-fingerprint table: per scenario, both
@@ -207,6 +218,21 @@ fn golden_runs_match_committed_fingerprints_under_trajectory() {
          re-bless after registry changes"
     );
     check_golden_table(TRAJECTORY, "GOLDEN_TRAJECTORY", GOLDEN_TRAJECTORY, 2, 5);
+}
+
+#[test]
+fn golden_runs_match_committed_fingerprints_under_sampled() {
+    let scenarios: Vec<&str> = qmarl::env::scenario::scenarios()
+        .iter()
+        .map(|s| s.name())
+        .collect();
+    assert_eq!(
+        scenarios,
+        GOLDEN_SAMPLED.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
+        "GOLDEN_SAMPLED must cover exactly the registered scenarios; \
+         re-bless after registry changes"
+    );
+    check_golden_table(SAMPLED, "GOLDEN_SAMPLED", GOLDEN_SAMPLED, 2, 5);
 }
 
 #[test]
