@@ -112,12 +112,11 @@ fn emit_backend_json(c: &mut Criterion) {
                 "    {{\n      \"scenario\": \"{scenario}\",\n      \"backend\": \"{spec}\",\n      \
                  \"grad_rule\": \"{}\",\n      \"steps_per_sec\": {steps:.0},\n      \
                  \"grad_steps_per_sec\": {grads:.0}\n    }}",
-                if backend.supports_adjoint() {
-                    "adjoint (prebound)"
-                } else if matches!(backend, ExecutionBackend::Trajectory { .. }) {
-                    "adjoint (per-trajectory)"
-                } else {
-                    "parameter-shift (batched queue)"
+                match backend {
+                    ExecutionBackend::Ideal => "adjoint (prebound)",
+                    ExecutionBackend::Sampled { .. } => "parameter-shift (row walk)",
+                    ExecutionBackend::Noisy { .. } => "parameter-shift (batched queue)",
+                    ExecutionBackend::Trajectory { .. } => "adjoint (per-trajectory)",
                 }
             ));
         }

@@ -62,6 +62,6 @@ pub mod prelude {
         PauliString,
     };
     pub use crate::noise::{NoiseChannel, NoiseModel};
-    pub use crate::shots::{measure_shots, z_standard_error, ShotRecord};
+    pub use crate::shots::{measure_shots, z_standard_error, ShotRecord, ShotSampler};
     pub use crate::state::StateVector;
 }

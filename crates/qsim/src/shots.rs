@@ -111,7 +111,8 @@ pub fn measure_shots_density<R: Rng + ?Sized>(
 }
 
 /// Measures `shots` samples from an explicit computational-basis
-/// distribution (shared by the pure- and mixed-state entry points).
+/// distribution (shared by the pure- and mixed-state entry points): one
+/// pass of a fresh [`ShotSampler`], recorded.
 ///
 /// # Errors
 ///
@@ -124,55 +125,150 @@ pub fn measure_shots_probs<R: Rng + ?Sized>(
     shots: usize,
     rng: &mut R,
 ) -> Result<ShotRecord, QsimError> {
-    if shots == 0 {
-        return Err(QsimError::InvalidProbability { value: 0.0 });
+    let mut sampler = ShotSampler::default();
+    sampler.sample_probs(probs, n_qubits, shots, rng)?;
+    Ok(sampler.record())
+}
+
+/// An inverse-CDF shot sampler that keeps its buffers (Born
+/// probabilities, CDF, outcome histogram) between batches, so repeated
+/// readouts of same-sized registers allocate nothing — the
+/// parameter-shift row walk reads out dozens of shifted circuits per
+/// minibatch row through one sampler. For the same distribution and RNG
+/// stream it draws exactly the outcomes [`measure_shots_probs`] records
+/// (that function is a one-pass wrapper over this type).
+#[derive(Debug, Clone, Default)]
+pub struct ShotSampler {
+    probs: Vec<f64>,
+    cdf: Vec<f64>,
+    histogram: Vec<usize>,
+    shots: usize,
+    n_qubits: usize,
+}
+
+impl ShotSampler {
+    /// Samples `shots` outcomes from a pure state's Born distribution,
+    /// replacing the previous batch.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShotSampler::sample_probs`].
+    pub fn sample_state<R: Rng + ?Sized>(
+        &mut self,
+        state: &StateVector,
+        shots: usize,
+        rng: &mut R,
+    ) -> Result<(), QsimError> {
+        let mut probs = std::mem::take(&mut self.probs);
+        probs.clear();
+        probs.extend(state.amplitudes().iter().map(|a| a.norm_sqr()));
+        let sampled = self.sample_probs(&probs, state.n_qubits(), shots, rng);
+        self.probs = probs;
+        sampled
     }
-    if probs.len() != 1usize << n_qubits {
-        return Err(QsimError::InvalidDimension { len: probs.len() });
-    }
-    if let Some(&bad) = probs.iter().find(|p| !p.is_finite() || **p < 0.0) {
-        return Err(QsimError::InvalidProbability { value: bad });
-    }
-    // A zero-mass distribution has no state to sample; rejecting it here
-    // keeps the sampler's no-zero-probability-outcome guarantee total.
-    if probs.iter().sum::<f64>() <= 0.0 {
-        return Err(QsimError::NotNormalized { norm: 0.0 });
-    }
-    // Inverse-CDF sampling over the cumulative distribution; for the few
-    // thousand shots typical of NISQ jobs a per-shot scan of the 2^n
-    // probabilities is fine at this register size, but we presort once.
-    let mut cdf = Vec::with_capacity(probs.len());
-    let mut acc = 0.0;
-    for p in probs {
-        acc += p;
-        cdf.push(acc);
-    }
-    let mut histogram = vec![0usize; probs.len()];
-    for _ in 0..shots {
-        let r: f64 = rng.gen::<f64>() * acc;
-        // `c <= r` (not `c < r`) keeps zero-probability states out of
-        // reach: a flat CDF segment contributes an empty interval, so in
-        // particular `r == 0.0` lands on the first *positive*-mass state,
-        // never on a zero-amplitude prefix entry.
-        let mut idx = cdf.partition_point(|&c| c <= r);
-        if idx >= probs.len() {
-            // `gen::<f64>() * acc` can round up to `acc` itself; fold the
-            // boundary onto the last positive-mass state.
-            idx = probs.iter().rposition(|&p| p > 0.0).unwrap_or(0);
+
+    /// Samples `shots` outcomes from an explicit computational-basis
+    /// distribution, replacing the previous batch.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QsimError::InvalidProbability`] when `shots == 0` or any
+    /// entry is negative/non-finite, [`QsimError::InvalidDimension`] when
+    /// the distribution does not cover an `n_qubits` register, and
+    /// [`QsimError::NotNormalized`] for zero total mass. On error the
+    /// previous batch is discarded.
+    pub fn sample_probs<R: Rng + ?Sized>(
+        &mut self,
+        probs: &[f64],
+        n_qubits: usize,
+        shots: usize,
+        rng: &mut R,
+    ) -> Result<(), QsimError> {
+        self.shots = 0;
+        self.histogram.clear();
+        if shots == 0 {
+            return Err(QsimError::InvalidProbability { value: 0.0 });
         }
-        debug_assert!(probs[idx] > 0.0, "sampled a zero-probability state");
-        histogram[idx] += 1;
+        if probs.len() != 1usize << n_qubits {
+            return Err(QsimError::InvalidDimension { len: probs.len() });
+        }
+        if let Some(&bad) = probs.iter().find(|p| !p.is_finite() || **p < 0.0) {
+            return Err(QsimError::InvalidProbability { value: bad });
+        }
+        // A zero-mass distribution has no state to sample; rejecting it
+        // here keeps the no-zero-probability-outcome guarantee total.
+        if probs.iter().sum::<f64>() <= 0.0 {
+            return Err(QsimError::NotNormalized { norm: 0.0 });
+        }
+        // Inverse-CDF sampling over the cumulative distribution: one
+        // binary search per shot.
+        self.cdf.clear();
+        let mut acc = 0.0;
+        for p in probs {
+            acc += p;
+            self.cdf.push(acc);
+        }
+        self.histogram.resize(probs.len(), 0);
+        for _ in 0..shots {
+            let r: f64 = rng.gen::<f64>() * acc;
+            // `c <= r` (not `c < r`) keeps zero-probability states out of
+            // reach: a flat CDF segment contributes an empty interval, so
+            // in particular `r == 0.0` lands on the first *positive*-mass
+            // state, never on a zero-amplitude prefix entry.
+            let mut idx = self.cdf.partition_point(|&c| c <= r);
+            if idx >= probs.len() {
+                // `gen::<f64>() * acc` can round up to `acc` itself; fold
+                // the boundary onto the last positive-mass state.
+                idx = probs.iter().rposition(|&p| p > 0.0).unwrap_or(0);
+            }
+            debug_assert!(probs[idx] > 0.0, "sampled a zero-probability state");
+            self.histogram[idx] += 1;
+        }
+        self.shots = shots;
+        self.n_qubits = n_qubits;
+        Ok(())
     }
-    let counts: Vec<(usize, usize)> = histogram
-        .into_iter()
-        .enumerate()
-        .filter(|(_, c)| *c > 0)
-        .collect();
-    Ok(ShotRecord {
-        counts,
-        shots,
-        n_qubits,
-    })
+
+    /// The shot-estimated `⟨Z_q⟩` of the current batch — the same value
+    /// [`ShotRecord::expectation_z`] gives for the same outcomes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QsimError::QubitOutOfRange`] for an invalid wire.
+    pub fn expectation_z(&self, q: usize) -> Result<f64, QsimError> {
+        if q >= self.n_qubits {
+            return Err(QsimError::QubitOutOfRange {
+                qubit: q,
+                n_qubits: self.n_qubits,
+            });
+        }
+        let mask = 1usize << q;
+        let mut acc = 0i64;
+        for (i, &c) in self.histogram.iter().enumerate() {
+            if i & mask == 0 {
+                acc += c as i64;
+            } else {
+                acc -= c as i64;
+            }
+        }
+        Ok(acc as f64 / self.shots as f64)
+    }
+
+    /// The current batch as a [`ShotRecord`] (zero-count outcomes
+    /// omitted).
+    pub fn record(&self) -> ShotRecord {
+        ShotRecord {
+            counts: self
+                .histogram
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| **c > 0)
+                .map(|(i, c)| (i, *c))
+                .collect(),
+            shots: self.shots,
+            n_qubits: self.n_qubits,
+        }
+    }
 }
 
 /// The standard error of a shot-estimated `⟨Z⟩` with true value `z`:
@@ -385,6 +481,79 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let rec = measure_shots_density(&rho, 1000, &mut rng).unwrap();
         assert_eq!(rec.counts(), &[(1, 1000)]);
+    }
+
+    #[test]
+    fn reused_sampler_matches_fresh_records_bit_for_bit() {
+        // One sampler reused across registers of different widths and
+        // across distributions with zero-probability prefixes, interior
+        // flat segments and zero tails must give exactly the estimates
+        // (and counts) of a fresh `ShotRecord` drawn from the same stream.
+        let mut pure = StateVector::zero(3);
+        for q in 0..3 {
+            pure.apply_gate1(q, &Gate1::ry(0.3 + 0.5 * q as f64))
+                .unwrap();
+        }
+        let cases: Vec<(Vec<f64>, usize)> = vec![
+            (pure.probabilities(), 3),
+            (vec![0.0, 0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0], 3),
+            (vec![0.0, 1.0], 1),
+            (vec![0.5, 0.0, 0.5, 0.0], 2),
+            (vec![0.0; 15].into_iter().chain([1.0]).collect(), 4),
+        ];
+        let mut sampler = ShotSampler::default();
+        for (round, (probs, n)) in cases.iter().chain(cases.iter()).enumerate() {
+            let seed = 40 + round as u64;
+            let record =
+                measure_shots_probs(probs, *n, 257, &mut StdRng::seed_from_u64(seed)).unwrap();
+            sampler
+                .sample_probs(probs, *n, 257, &mut StdRng::seed_from_u64(seed))
+                .unwrap();
+            assert_eq!(sampler.record(), record, "round {round}");
+            for q in 0..*n {
+                assert_eq!(
+                    sampler.expectation_z(q).unwrap(),
+                    record.expectation_z(q).unwrap(),
+                    "round {round} wire {q}"
+                );
+            }
+            assert!(sampler.expectation_z(*n).is_err());
+        }
+        // The pure-state entry point draws the same stream as
+        // `measure_shots`, and the all-zero RNG still skips P = 0 states.
+        sampler
+            .sample_state(&pure, 99, &mut StdRng::seed_from_u64(7))
+            .unwrap();
+        assert_eq!(
+            sampler.record(),
+            measure_shots(&pure, 99, &mut StdRng::seed_from_u64(7)).unwrap()
+        );
+        let one = StateVector::basis(1, 1).unwrap();
+        sampler.sample_state(&one, 50, &mut ZeroRng).unwrap();
+        assert_eq!(sampler.record().counts(), &[(1, 50)]);
+        assert_eq!(sampler.expectation_z(0).unwrap(), -1.0);
+    }
+
+    #[test]
+    fn sampler_rejects_what_measure_shots_probs_rejects() {
+        let mut sampler = ShotSampler::default();
+        let mut rng = StdRng::seed_from_u64(1);
+        sampler.sample_probs(&[0.5, 0.5], 1, 10, &mut rng).unwrap();
+        assert!(matches!(
+            sampler.sample_probs(&[0.5, 0.5, 0.0], 1, 10, &mut rng),
+            Err(QsimError::InvalidDimension { len: 3 })
+        ));
+        // A failed batch discards the previous one.
+        assert_eq!(sampler.record().shots(), 0);
+        assert!(sampler.sample_probs(&[1.5, -0.5], 1, 10, &mut rng).is_err());
+        assert!(sampler
+            .sample_probs(&[f64::NAN, 1.0], 1, 10, &mut rng)
+            .is_err());
+        assert!(matches!(
+            sampler.sample_probs(&[0.0, 0.0], 1, 10, &mut rng),
+            Err(QsimError::NotNormalized { .. })
+        ));
+        assert!(sampler.sample_probs(&[0.5, 0.5], 1, 0, &mut rng).is_err());
     }
 
     #[test]

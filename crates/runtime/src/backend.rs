@@ -189,26 +189,65 @@ impl ExecutionBackend {
     /// distinguishes otherwise-identical bindings (the parameter-shift
     /// rule's angle overrides).
     pub(crate) fn eval_seed(root: u64, inputs: &[f64], params: &[f64], salt: u64) -> u64 {
+        SeedPrefix::new(root, inputs, params).finish(salt)
+    }
+}
+
+/// The salt of an evaluation's sample stream: 0 for the plain forward
+/// pass, a mix of the overridden raw-gate index and angle bits for a
+/// parameter-shift evaluation, so each distinct circuit instance draws
+/// its own stream.
+pub(crate) fn override_salt(override_angle: Option<(usize, f64)>) -> u64 {
+    match override_angle {
+        None => 0,
+        Some((idx, theta)) => (idx as u64 + 1)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(theta.to_bits()),
+    }
+}
+
+/// The binding part of an evaluation fingerprint, hashed once: every
+/// evaluation of one minibatch row shares `(inputs, params)` and differs
+/// only in its salt, so a row hashes its bindings once and
+/// [`SeedPrefix::finish`]es each evaluation's seed from its salt.
+/// `ExecutionBackend::eval_seed` is `new` + `finish`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeedPrefix {
+    root: u64,
+    hash: u64,
+}
+
+impl SeedPrefix {
+    /// Hashes the bindings under a root seed.
+    pub(crate) fn new(root: u64, inputs: &[f64], params: &[f64]) -> SeedPrefix {
         // FNV-1a over the exact bit patterns: the fingerprint is a pure
         // function of the bindings, so two evaluations of the same
         // circuit instance draw the same stream no matter where or when
         // they run.
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut eat = |bits: u64| {
-            for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-                h ^= (bits >> shift) & 0xFF;
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
         for x in inputs {
-            eat(x.to_bits());
+            fnv_eat(&mut hash, x.to_bits());
         }
-        eat(u64::MAX); // domain separator between inputs and params
+        fnv_eat(&mut hash, u64::MAX); // domain separator between inputs and params
         for x in params {
-            eat(x.to_bits());
+            fnv_eat(&mut hash, x.to_bits());
         }
-        eat(salt);
-        derive_seed(root, SHOT_STREAM, h)
+        SeedPrefix { root, hash }
+    }
+
+    /// The sample-stream seed of the evaluation with this salt.
+    pub(crate) fn finish(self, salt: u64) -> u64 {
+        let mut hash = self.hash;
+        fnv_eat(&mut hash, salt);
+        derive_seed(self.root, SHOT_STREAM, hash)
+    }
+}
+
+/// Feeds one word's eight bytes, low first, into an FNV-1a state.
+fn fnv_eat(hash: &mut u64, bits: u64) {
+    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
+        *hash ^= (bits >> shift) & 0xFF;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
 }
 

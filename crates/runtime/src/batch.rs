@@ -3,7 +3,7 @@
 //! Policy evaluation over a replay minibatch, per-agent evaluation at one
 //! timestep, and the parameter-shift rule's ±π/2 fan-out are all "run the
 //! same compiled schedule under many bindings". [`BatchExecutor`] turns
-//! each of those into a flat work queue drained by the shared
+//! each of those into a work queue drained by the shared
 //! [`qmarl_qsim::par`] scheduler:
 //!
 //! * [`BatchExecutor::run_batch`] — final states for B input vectors
@@ -14,14 +14,15 @@
 //!   raw states,
 //! * [`BatchExecutor::jacobian_batch`] /
 //!   [`BatchExecutor::forward_and_jacobian_batch`] — the batched
-//!   parameter-shift path: **every** shift evaluation of every minibatch
-//!   sample is one task in a single queue, so a 4-sample × 48-parameter
-//!   gradient sweep keeps every core busy instead of parallelising only
-//!   within one sample.
+//!   parameter-shift path: one task per minibatch row, each a single
+//!   **row walk** (the crate-private `shift` module) that shares the
+//!   schedule prefix, the rotation trig and (under shot sampling) the
+//!   seed fingerprint across all of the row's shift evaluations.
 //!
 //! Results are folded in deterministic (input, occurrence) order, so
 //! batched outputs are bit-identical to their serial counterparts.
 
+use qmarl_qsim::density::DensityMatrix;
 use qmarl_qsim::par;
 use qmarl_qsim::state::StateVector;
 use qmarl_vqc::grad::Jacobian;
@@ -29,20 +30,18 @@ use qmarl_vqc::observable::Readout;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::backend::ExecutionBackend;
-use crate::compile::{CGate, CompiledCircuit, Occurrence};
+use crate::backend::{override_salt, ExecutionBackend};
+use crate::compile::CompiledCircuit;
 use crate::error::RuntimeError;
-use crate::exec::{check_bindings, run_raw_with_override, run_schedule_unchecked};
+use crate::exec::{check_bindings, rotation_angle, run_schedule_unchecked};
 use crate::prebound::{
     readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw, PreboundAdjoint, PreboundCircuit,
 };
+use crate::shift::{forward_and_jacobian_row, RowReadout};
 use crate::superop::{
     extract_lane, prebind_density, run_density, run_density_slab, DensityPrebound,
 };
-use crate::trajectory::{
-    prebind_trajectory, run_trajectory_adjoint, trajectory_outputs, TrajPrebound,
-};
-use qmarl_qsim::density::DensityMatrix;
+use crate::trajectory::{prebind_trajectory, run_trajectory_adjoint, trajectory_outputs};
 
 /// One shared-parameter group of a prebound batch: a frozen schedule plus
 /// the input vectors to run under it.
@@ -175,36 +174,6 @@ impl BatchExecutor {
                 compiled.n_qubits(),
                 compiled.fused_schedule(),
                 item,
-                params,
-            );
-            readout.evaluate(&state).map_err(RuntimeError::from)
-        })
-    }
-
-    /// Batched forward pass through a readout with **per-item parameters
-    /// by reference** — the vectorized rollout hot path, where one tick
-    /// contributes `lanes × agents` circuit evaluations whose inputs and
-    /// parameters are slices into caller-owned slabs (no per-item
-    /// allocation or parameter cloning).
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length or readout-validation errors.
-    pub fn expectation_batch_with_params(
-        &self,
-        compiled: &CompiledCircuit,
-        readout: &Readout,
-        bindings: &[(&[f64], &[f64])],
-    ) -> Result<Vec<Vec<f64>>, RuntimeError> {
-        readout.validate(compiled.n_qubits())?;
-        for (inputs, params) in bindings {
-            check_bindings(compiled, inputs, params)?;
-        }
-        par::try_parallel_map(bindings, self.workers, |_, &(inputs, params)| {
-            let state = run_schedule_unchecked(
-                compiled.n_qubits(),
-                compiled.fused_schedule(),
-                inputs,
                 params,
             );
             readout.evaluate(&state).map_err(RuntimeError::from)
@@ -365,60 +334,83 @@ impl BatchExecutor {
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        let prep = BackendPrep::new(compiled, params, backend)?;
-        if let (ExecutionBackend::Noisy { shots, seed, .. }, BackendPrep::Density(pb)) =
-            (backend, &prep)
-        {
-            // Lane-chunked slab walk. The chunk cap stays small: an
-            // 8-qubit density lane is 65 536 amplitudes, so 16 lanes keep
-            // the slab around cache-friendly sizes.
-            let chunk = (inputs.len() / self.workers.max(1)).clamp(1, 16);
-            let tasks: Vec<(usize, usize)> = (0..inputs.len())
-                .step_by(chunk)
-                .map(|start| (start, (start + chunk).min(inputs.len())))
-                .collect();
-            let results = par::try_parallel_map(&tasks, self.workers, |_, &(start, end)| {
-                let lane_inputs: Vec<&[f64]> =
-                    inputs[start..end].iter().map(|v| v.as_slice()).collect();
-                let lanes = lane_inputs.len();
-                let slab = run_density_slab(pb, &lane_inputs, None);
-                let mut out = Vec::with_capacity(lanes);
-                for lane in 0..lanes {
-                    let rho = DensityMatrix::from_flat(
+        match backend {
+            ExecutionBackend::Ideal => unreachable!("ideal returned above"),
+            ExecutionBackend::Sampled { shots, seed } => {
+                par::try_parallel_map(inputs, self.workers, |_, item| {
+                    let state = run_schedule_unchecked(
                         compiled.n_qubits(),
-                        extract_lane(&slab, lanes, lane),
+                        compiled.fused_schedule(),
+                        item,
+                        params,
                     );
-                    let vals = match shots {
-                        None => readout.evaluate_density(&rho)?,
-                        Some(s) => {
-                            let mut rng = StdRng::seed_from_u64(ExecutionBackend::eval_seed(
-                                *seed,
-                                &inputs[start + lane],
-                                params,
-                                0,
-                            ));
-                            readout.evaluate_shots_density(&rho, *s, &mut rng)?
-                        }
-                    };
-                    out.push(vals);
-                }
-                Ok::<_, RuntimeError>(out)
-            })?;
-            return Ok(results.into_iter().flatten().collect());
+                    let mut rng =
+                        StdRng::seed_from_u64(ExecutionBackend::eval_seed(*seed, item, params, 0));
+                    readout
+                        .evaluate_shots(&state, *shots, &mut rng)
+                        .map_err(RuntimeError::from)
+                })
+            }
+            ExecutionBackend::Trajectory {
+                model,
+                samples,
+                seed,
+            } => {
+                let pb = prebind_trajectory(compiled, params, model)?;
+                Ok(par::parallel_map(inputs, self.workers, |_, item| {
+                    let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
+                    trajectory_outputs(&pb, readout, item, *samples, eval_seed, None)
+                }))
+            }
+            ExecutionBackend::Noisy { model, shots, seed } => {
+                let pb = prebind_density(compiled, params, model)?;
+                // Lane-chunked slab walk. The chunk cap stays small: an
+                // 8-qubit density lane is 65 536 amplitudes, so 16 lanes
+                // keep the slab around cache-friendly sizes.
+                let chunk = (inputs.len() / self.workers.max(1)).clamp(1, 16);
+                let tasks: Vec<(usize, usize)> = (0..inputs.len())
+                    .step_by(chunk)
+                    .map(|start| (start, (start + chunk).min(inputs.len())))
+                    .collect();
+                let results = par::try_parallel_map(&tasks, self.workers, |_, &(start, end)| {
+                    let lane_inputs: Vec<&[f64]> =
+                        inputs[start..end].iter().map(|v| v.as_slice()).collect();
+                    let lanes = lane_inputs.len();
+                    let slab = run_density_slab(&pb, &lane_inputs, None);
+                    let mut out = Vec::with_capacity(lanes);
+                    for lane in 0..lanes {
+                        let rho = DensityMatrix::from_flat(
+                            compiled.n_qubits(),
+                            extract_lane(&slab, lanes, lane),
+                        );
+                        out.push(noisy_readout(
+                            readout,
+                            &rho,
+                            &inputs[start + lane],
+                            params,
+                            *shots,
+                            *seed,
+                            None,
+                        )?);
+                    }
+                    Ok::<_, RuntimeError>(out)
+                })?;
+                Ok(results.into_iter().flatten().collect())
+            }
         }
-        par::try_parallel_map(inputs, self.workers, |_, item| {
-            backend_eval(compiled, readout, item, params, backend, &prep, None)
-        })
     }
 
     /// Batched forward **and** Jacobian under an [`ExecutionBackend`] —
-    /// the gradient path of the stochastic backends. Under
-    /// `Sampled`/`Noisy`, every forward and every ±shift evaluation of
-    /// the whole minibatch is one parameter-shift task, so the resulting
-    /// gradients carry exactly the noise hardware execution would.
-    /// `Trajectory` instead runs one **per-trajectory adjoint** task per
-    /// minibatch item (exact gradient of the sampled estimator — the jump
-    /// draws are parameter-independent). `Ideal` delegates to
+    /// the gradient path of the stochastic backends. `Sampled` runs one
+    /// parameter-shift row walk per minibatch item
+    /// (`shift::forward_and_jacobian_row`: fingerprint, trig and
+    /// schedule prefixes shared by all of the row's shift evaluations,
+    /// shot readout through one reused sampler), so the gradients carry
+    /// exactly the shot noise hardware execution would. `Noisy` queues
+    /// every forward and every ±shift density evaluation of the minibatch
+    /// as one task each. `Trajectory` runs one **per-trajectory adjoint**
+    /// task per minibatch item (exact gradient of the sampled estimator —
+    /// the jump draws are parameter-independent). `Ideal` delegates to
     /// [`BatchExecutor::forward_and_jacobian_batch`] and is bit-identical
     /// to it.
     ///
@@ -441,24 +433,40 @@ impl BatchExecutor {
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        let prep = BackendPrep::new(compiled, params, backend)?;
-        // Trajectory gradients skip the shift queue entirely: the jump
-        // draws are parameter-independent, so each evaluation's exact
-        // Jacobian comes from one per-trajectory adjoint sweep
-        // ([`crate::trajectory::run_trajectory_adjoint`]) — one task per
-        // minibatch item, with the forward outputs bit-identical to the
-        // plain forward pass (same walk, same streams).
-        if let (ExecutionBackend::Trajectory { samples, seed, .. }, BackendPrep::Traj(pb)) =
-            (backend, &prep)
-        {
-            let results = par::try_parallel_map(inputs, self.workers, |_, item| {
-                let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
-                Ok::<_, RuntimeError>(run_trajectory_adjoint(
-                    pb, readout, item, *samples, eval_seed,
-                ))
-            })?;
-            return Ok(results.into_iter().unzip());
-        }
+        let (model, shots, seed) = match backend {
+            ExecutionBackend::Sampled { shots, seed } => {
+                let mode = RowReadout::Shots {
+                    shots: *shots,
+                    seed: *seed,
+                };
+                return self.shift_rows(compiled, readout, inputs, params, mode);
+            }
+            // Trajectory gradients skip the shift rule entirely: the jump
+            // draws are parameter-independent, so each evaluation's exact
+            // Jacobian comes from one per-trajectory adjoint sweep
+            // ([`crate::trajectory::run_trajectory_adjoint`]) — one task
+            // per minibatch item, with the forward outputs bit-identical
+            // to the plain forward pass (same walk, same streams).
+            ExecutionBackend::Trajectory {
+                model,
+                samples,
+                seed,
+            } => {
+                let pb = prebind_trajectory(compiled, params, model)?;
+                let results = par::try_parallel_map(inputs, self.workers, |_, item| {
+                    let eval_seed = ExecutionBackend::eval_seed(*seed, item, params, 0);
+                    Ok::<_, RuntimeError>(run_trajectory_adjoint(
+                        &pb, readout, item, *samples, eval_seed,
+                    ))
+                })?;
+                return Ok(results.into_iter().unzip());
+            }
+            ExecutionBackend::Noisy { model, shots, seed } => (model, *shots, *seed),
+            ExecutionBackend::Ideal => unreachable!("ideal returned above"),
+        };
+        // Noisy: one task per density evaluation over a superoperator
+        // schedule prebound once for the whole queue.
+        let pb = prebind_density(compiled, params, model)?;
         let occurrences = compiled.occurrences();
         // Task id: b * (occurrences + 1); offset 0 = forward pass.
         let per_sample = occurrences.len() + 1;
@@ -466,27 +474,31 @@ impl BatchExecutor {
         let results = par::try_parallel_map(&tasks, self.workers, |_, &t| {
             let b = t / per_sample;
             let slot = t % per_sample;
+            let eval = |override_angle| {
+                noisy_eval(
+                    &pb,
+                    readout,
+                    &inputs[b],
+                    params,
+                    shots,
+                    seed,
+                    override_angle,
+                )
+            };
             if slot == 0 {
-                backend_eval(compiled, readout, &inputs[b], params, backend, &prep, None)
-                    .map(TaskResult::Forward)
+                eval(None).map(TaskResult::Forward)
             } else {
                 let occ = occurrences[slot - 1];
-                let theta = occurrence_angle(compiled, occ, &inputs[b], params);
-                qmarl_vqc::grad::shift_rule(theta, occ.controlled, |t| {
-                    backend_eval(
-                        compiled,
-                        readout,
-                        &inputs[b],
-                        params,
-                        backend,
-                        &prep,
-                        Some((occ.raw_idx, t)),
-                    )
-                })
-                .map(|g| TaskResult::Shift {
-                    param: occ.param,
-                    grads: g,
-                })
+                let theta =
+                    rotation_angle(&compiled.raw_schedule()[occ.raw_idx], &inputs[b], params)
+                        .unwrap_or_else(|| {
+                            unreachable!("occurrence points at a non-rotation gate")
+                        });
+                qmarl_vqc::grad::shift_rule(theta, occ.controlled, |t| eval(Some((occ.raw_idx, t))))
+                    .map(|g| TaskResult::Shift {
+                        param: occ.param,
+                        grads: g,
+                    })
             }
         })?;
 
@@ -507,9 +519,9 @@ impl BatchExecutor {
         Ok((outputs, jacobians))
     }
 
-    /// Batched parameter-shift Jacobians: one Jacobian per input vector,
-    /// with all shift evaluations of the whole minibatch scheduled as one
-    /// flat work queue.
+    /// Batched parameter-shift Jacobians: one Jacobian per input vector
+    /// (the Jacobian half of
+    /// [`BatchExecutor::forward_and_jacobian_batch`]).
     ///
     /// # Errors
     ///
@@ -521,33 +533,15 @@ impl BatchExecutor {
         inputs: &[Vec<f64>],
         params: &[f64],
     ) -> Result<Vec<Jacobian>, RuntimeError> {
-        readout.validate(compiled.n_qubits())?;
-        for item in inputs {
-            check_bindings(compiled, item, params)?;
-        }
-        // One task per (sample, parameter occurrence): a task runs the 2
-        // (plain) or 4 (controlled) shifted circuits of that occurrence.
-        let occurrences = compiled.occurrences();
-        let tasks: Vec<(usize, usize)> = (0..inputs.len())
-            .flat_map(|b| (0..occurrences.len()).map(move |o| (b, o)))
-            .collect();
-        let contributions = par::try_parallel_map(&tasks, self.workers, |_, &(b, o)| {
-            occurrence_shift(compiled, readout, &inputs[b], params, occurrences[o])
-                .map(|grads| (b, occurrences[o].param, grads))
-        })?;
-
-        let mut jacobians =
-            vec![Jacobian::zeros(readout.output_len(), compiled.n_params()); inputs.len()];
-        for (b, param, grads) in contributions {
-            for (j, g) in grads.into_iter().enumerate() {
-                *jacobians[b].get_mut(j, param) += g;
-            }
-        }
-        Ok(jacobians)
+        Ok(self
+            .forward_and_jacobian_batch(compiled, readout, inputs, params)?
+            .1)
     }
 
-    /// Batched forward **and** Jacobian in one queue: the forward
-    /// evaluations ride the same scheduler as the shift evaluations.
+    /// Batched forward **and** parameter-shift Jacobian with exact
+    /// readout: one row walk per input vector
+    /// (`shift::forward_and_jacobian_row`), the rows spread over
+    /// the workers.
     ///
     /// # Errors
     ///
@@ -563,50 +557,23 @@ impl BatchExecutor {
         for item in inputs {
             check_bindings(compiled, item, params)?;
         }
-        let occurrences = compiled.occurrences();
-        // Task id: b * (occurrences + 1); offset 0 = forward pass.
-        let per_sample = occurrences.len() + 1;
-        let tasks: Vec<usize> = (0..inputs.len() * per_sample).collect();
-        let results = par::try_parallel_map(&tasks, self.workers, |_, &t| {
-            let b = t / per_sample;
-            let slot = t % per_sample;
-            if slot == 0 {
-                let state = run_schedule_unchecked(
-                    compiled.n_qubits(),
-                    compiled.fused_schedule(),
-                    &inputs[b],
-                    params,
-                );
-                readout
-                    .evaluate(&state)
-                    .map(TaskResult::Forward)
-                    .map_err(RuntimeError::from)
-            } else {
-                let occ = occurrences[slot - 1];
-                occurrence_shift(compiled, readout, &inputs[b], params, occ).map(|g| {
-                    TaskResult::Shift {
-                        param: occ.param,
-                        grads: g,
-                    }
-                })
-            }
-        })?;
+        self.shift_rows(compiled, readout, inputs, params, RowReadout::Exact)
+    }
 
-        let mut outputs = vec![Vec::new(); inputs.len()];
-        let mut jacobians =
-            vec![Jacobian::zeros(readout.output_len(), compiled.n_params()); inputs.len()];
-        for (t, result) in results.into_iter().enumerate() {
-            let b = t / per_sample;
-            match result {
-                TaskResult::Forward(out) => outputs[b] = out,
-                TaskResult::Shift { param, grads } => {
-                    for (j, g) in grads.into_iter().enumerate() {
-                        *jacobians[b].get_mut(j, param) += g;
-                    }
-                }
-            }
-        }
-        Ok((outputs, jacobians))
+    /// One parameter-shift row walk per input vector, as one task each;
+    /// bindings and readout are already validated.
+    fn shift_rows(
+        &self,
+        compiled: &CompiledCircuit,
+        readout: &Readout,
+        inputs: &[Vec<f64>],
+        params: &[f64],
+        mode: RowReadout,
+    ) -> Result<(Vec<Vec<f64>>, Vec<Jacobian>), RuntimeError> {
+        let rows = par::try_parallel_map(inputs, self.workers, |_, item| {
+            forward_and_jacobian_row(compiled, readout, mode, item, params)
+        })?;
+        Ok(rows.into_iter().unzip())
     }
 }
 
@@ -615,161 +582,48 @@ enum TaskResult {
     Shift { param: usize, grads: Vec<f64> },
 }
 
-/// Per-batch backend preparation, built **once** before a queue drains:
-/// the noisy backend's superoperator prebind and the trajectory backend's
-/// schedule prebind both hoist their per-gate work here so every task in
-/// the queue (forward passes and shift evaluations alike) reuses it.
-// One value exists per batch and it is only ever borrowed, so the size
-// spread between `Plain` and the prebind variants costs nothing.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum BackendPrep {
-    /// Ideal/Sampled: the fused statevector schedule needs no extra prep.
-    Plain,
-    /// Noisy: per-gate superoperators prebound over `(params, noise)`.
-    Density(DensityPrebound),
-    /// Trajectory: raw schedule prebound over `(params, noise)`.
-    Traj(TrajPrebound),
-}
-
-impl BackendPrep {
-    fn new(
-        compiled: &CompiledCircuit,
-        params: &[f64],
-        backend: &ExecutionBackend,
-    ) -> Result<BackendPrep, RuntimeError> {
-        match backend {
-            ExecutionBackend::Ideal | ExecutionBackend::Sampled { .. } => Ok(BackendPrep::Plain),
-            ExecutionBackend::Noisy { model, .. } => Ok(BackendPrep::Density(prebind_density(
-                compiled, params, model,
-            )?)),
-            ExecutionBackend::Trajectory { model, .. } => Ok(BackendPrep::Traj(
-                prebind_trajectory(compiled, params, model)?,
-            )),
-        }
-    }
-}
-
-/// The sample-stream salt of an evaluation: 0 for the plain forward pass,
-/// a mix of the overridden gate index and angle bits for shift
-/// evaluations, so each distinct circuit instance draws its own stream.
-fn override_salt(override_angle: Option<(usize, f64)>) -> u64 {
-    match override_angle {
-        None => 0,
-        Some((idx, theta)) => (idx as u64 + 1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(theta.to_bits()),
-    }
-}
-
-/// One circuit evaluation under a backend: the shared primitive of the
-/// batched backend queues. `override_angle` forces one raw-schedule
-/// gate's angle (the parameter-shift primitive); without it the ideal and
-/// sampled backends run the fused schedule. The noisy and trajectory
-/// backends run their [`BackendPrep`] schedules, built once per batch —
-/// per-gate noise must scale with the **raw** (source) gate count, and
-/// the per-gate superoperator products / trig hoists must not be redone
-/// per evaluation.
-fn backend_eval(
-    compiled: &CompiledCircuit,
+/// Reads out a noisy evaluation's final density matrix: exactly, or
+/// from `shots` samples on the evaluation's content-addressed stream.
+fn noisy_readout(
     readout: &Readout,
+    rho: &DensityMatrix,
     inputs: &[f64],
     params: &[f64],
-    backend: &ExecutionBackend,
-    prep: &BackendPrep,
+    shots: Option<usize>,
+    seed: u64,
     override_angle: Option<(usize, f64)>,
 ) -> Result<Vec<f64>, RuntimeError> {
-    let pure_state = || match override_angle {
-        None => run_schedule_unchecked(
-            compiled.n_qubits(),
-            compiled.fused_schedule(),
-            inputs,
-            params,
-        ),
-        Some((idx, theta)) => run_raw_with_override(compiled, inputs, params, idx, theta),
-    };
-    match backend {
-        ExecutionBackend::Ideal => readout.evaluate(&pure_state()).map_err(RuntimeError::from),
-        ExecutionBackend::Sampled { shots, seed } => {
-            let state = pure_state();
+    match shots {
+        None => readout.evaluate_density(rho),
+        Some(s) => {
             let mut rng = StdRng::seed_from_u64(ExecutionBackend::eval_seed(
-                *seed,
+                seed,
                 inputs,
                 params,
                 override_salt(override_angle),
             ));
-            readout
-                .evaluate_shots(&state, *shots, &mut rng)
-                .map_err(RuntimeError::from)
-        }
-        ExecutionBackend::Noisy { shots, seed, .. } => {
-            let BackendPrep::Density(pb) = prep else {
-                unreachable!("noisy backend_eval called without a density prebind")
-            };
-            let rho = run_density(pb, inputs, override_angle)?;
-            match shots {
-                None => readout.evaluate_density(&rho).map_err(RuntimeError::from),
-                Some(s) => {
-                    let mut rng = StdRng::seed_from_u64(ExecutionBackend::eval_seed(
-                        *seed,
-                        inputs,
-                        params,
-                        override_salt(override_angle),
-                    ));
-                    readout
-                        .evaluate_shots_density(&rho, *s, &mut rng)
-                        .map_err(RuntimeError::from)
-                }
-            }
-        }
-        ExecutionBackend::Trajectory { samples, seed, .. } => {
-            let BackendPrep::Traj(pb) = prep else {
-                unreachable!("trajectory backend_eval called without a trajectory prebind")
-            };
-            let eval_seed =
-                ExecutionBackend::eval_seed(*seed, inputs, params, override_salt(override_angle));
-            Ok(trajectory_outputs(
-                pb,
-                readout,
-                inputs,
-                *samples,
-                eval_seed,
-                override_angle,
-            ))
+            readout.evaluate_shots_density(rho, s, &mut rng)
         }
     }
+    .map_err(RuntimeError::from)
 }
 
-/// The base (unshifted) angle of an occurrence under the given bindings.
-fn occurrence_angle(
-    compiled: &CompiledCircuit,
-    occ: Occurrence,
-    inputs: &[f64],
-    params: &[f64],
-) -> f64 {
-    match &compiled.raw_schedule()[occ.raw_idx] {
-        CGate::Rot { angle, .. } | CGate::CRot { angle, .. } => angle.value(inputs, params),
-        other => unreachable!("occurrence points at non-rotation gate {other:?}"),
-    }
-}
-
-/// The shift-rule contribution of one occurrence, per readout output.
-/// The two-/four-term combination itself lives in
-/// [`qmarl_vqc::grad::shift_rule`] — shared with the serial engine so the
-/// two gradient paths cannot drift apart — and only the circuit evaluator
-/// (compiled raw schedule with one overridden angle) is supplied here.
-fn occurrence_shift(
-    compiled: &CompiledCircuit,
+/// One noisy evaluation on the prebound superoperator schedule, with
+/// `override_angle` optionally forcing one raw gate's angle (the
+/// parameter-shift primitive). Per-gate noise scales with the **raw**
+/// (source) gate count, and the per-gate superoperator products are
+/// built once per batch by [`prebind_density`], not per evaluation.
+fn noisy_eval(
+    pb: &DensityPrebound,
     readout: &Readout,
     inputs: &[f64],
     params: &[f64],
-    occ: Occurrence,
+    shots: Option<usize>,
+    seed: u64,
+    override_angle: Option<(usize, f64)>,
 ) -> Result<Vec<f64>, RuntimeError> {
-    let theta = occurrence_angle(compiled, occ, inputs, params);
-    qmarl_vqc::grad::shift_rule(theta, occ.controlled, |t| {
-        let s = run_raw_with_override(compiled, inputs, params, occ.raw_idx, t);
-        readout.evaluate(&s).map_err(RuntimeError::from)
-    })
+    let rho = run_density(pb, inputs, override_angle)?;
+    noisy_readout(readout, &rho, inputs, params, shots, seed, override_angle)
 }
 
 #[cfg(test)]
@@ -840,36 +694,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn expectation_with_params_matches_per_item_runs() {
-        let circuit = paper_circuit();
-        let compiled = compile(&circuit);
-        let inputs = batch_inputs(4);
-        let param_sets: Vec<Vec<f64>> = (0..4).map(|b| init_params(20, 40 + b as u64)).collect();
-        let bindings: Vec<(&[f64], &[f64])> = inputs
-            .iter()
-            .zip(&param_sets)
-            .map(|(i, p)| (i.as_slice(), p.as_slice()))
-            .collect();
-        let readout = Readout::z_all(4);
-        let ex = BatchExecutor::new(3);
-        let outs = ex
-            .expectation_batch_with_params(&compiled, &readout, &bindings)
-            .unwrap();
-        for ((inputs, params), out) in bindings.iter().zip(&outs) {
-            let reference = readout
-                .evaluate(&qmarl_vqc::exec::run(&circuit, inputs, params).unwrap())
-                .unwrap();
-            assert_eq!(out, &reference, "must be bit-identical to serial");
-        }
-        // Bad bindings are rejected up front.
-        let short = [0.0; 3];
-        let bad: Vec<(&[f64], &[f64])> = vec![(&short, param_sets[0].as_slice())];
-        assert!(ex
-            .expectation_batch_with_params(&compiled, &readout, &bad)
-            .is_err());
     }
 
     #[test]

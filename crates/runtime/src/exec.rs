@@ -38,35 +38,53 @@ pub(crate) fn check_bindings(
     Ok(())
 }
 
+/// The bound angle of a (controlled) rotation; `None` for fixed gates.
+#[inline]
+pub(crate) fn rotation_angle(gate: &CGate, inputs: &[f64], params: &[f64]) -> Option<f64> {
+    match gate {
+        CGate::Rot { angle, .. } | CGate::CRot { angle, .. } => Some(angle.value(inputs, params)),
+        _ => None,
+    }
+}
+
+/// The half-angle `(sin θ/2, cos θ/2)` a gate's kernel consumes — exactly
+/// what `apply::apply_rx` and friends compute internally — or `(0, 0)`
+/// for a fixed gate, which ignores it.
+#[inline]
+pub(crate) fn rotation_trig(gate: &CGate, inputs: &[f64], params: &[f64]) -> (f64, f64) {
+    rotation_angle(gate, inputs, params).map_or((0.0, 0.0), |theta| (theta / 2.0).sin_cos())
+}
+
 #[inline]
 fn apply_cgate(state: &mut StateVector, gate: &CGate, inputs: &[f64], params: &[f64]) {
+    apply_cgate_sc(state, gate, rotation_trig(gate, inputs, params));
+}
+
+/// Applies one gate with a (controlled) rotation's half-angle trig
+/// supplied as `(s, c)` ([`rotation_trig`]); fixed gates ignore it.
+#[inline]
+pub(crate) fn apply_cgate_sc(state: &mut StateVector, gate: &CGate, (s, c): (f64, f64)) {
     use qmarl_qsim::gate::RotationAxis;
     let amps = state.amplitudes_mut();
     match gate {
         // Rotations dispatch to the axis-specialised kernels (Ry is real,
         // Rz diagonal) instead of a generic complex 2×2 product — the
         // compiled path's main single-core win over the IR interpreter.
-        CGate::Rot { qubit, axis, angle } => {
-            let theta = angle.value(inputs, params);
-            match axis {
-                RotationAxis::X => apply::apply_rx(amps, *qubit, theta),
-                RotationAxis::Y => apply::apply_ry(amps, *qubit, theta),
-                RotationAxis::Z => apply::apply_rz(amps, *qubit, theta),
-            }
-        }
+        CGate::Rot { qubit, axis, .. } => match axis {
+            RotationAxis::X => apply::apply_rx_sc(amps, *qubit, s, c),
+            RotationAxis::Y => apply::apply_ry_sc(amps, *qubit, s, c),
+            RotationAxis::Z => apply::apply_rz_sc(amps, *qubit, s, c),
+        },
         CGate::CRot {
             control,
             target,
             axis,
-            angle,
-        } => {
-            let theta = angle.value(inputs, params);
-            match axis {
-                RotationAxis::X => apply::apply_crx(amps, *control, *target, theta),
-                RotationAxis::Y => apply::apply_cry(amps, *control, *target, theta),
-                RotationAxis::Z => apply::apply_crz(amps, *control, *target, theta),
-            }
-        }
+            ..
+        } => match axis {
+            RotationAxis::X => apply::apply_crx_sc(amps, *control, *target, s, c),
+            RotationAxis::Y => apply::apply_cry_sc(amps, *control, *target, s, c),
+            RotationAxis::Z => apply::apply_crz_sc(amps, *control, *target, s, c),
+        },
         CGate::Cnot { control, target } => apply::apply_cnot(amps, *control, *target),
         CGate::Cz { control, target } => apply::apply_cz(amps, *control, *target),
         CGate::Fixed { qubit, gate } => apply::apply_gate1(amps, *qubit, gate),
@@ -109,8 +127,12 @@ pub fn run_compiled(
     ))
 }
 
-/// Runs the **raw** schedule with gate `override_idx`'s angle forced to
-/// `theta` — the parameter-shift rule's primitive. No binding validation.
+/// Runs the **raw** schedule from `|0…0⟩` with gate `override_idx`'s
+/// angle forced to `theta` — one parameter-shift evaluation, computed
+/// the naive way. The test oracle of the row walk
+/// ([`crate::shift::forward_and_jacobian_row`]), which must reproduce it
+/// bit for bit. No binding validation.
+#[cfg(test)]
 pub(crate) fn run_raw_with_override(
     compiled: &CompiledCircuit,
     inputs: &[f64],

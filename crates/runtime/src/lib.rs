@@ -29,10 +29,13 @@
 //!   model) shares one `Arc<CompiledCircuit>`.
 //! * [`batch`] — [`batch::BatchExecutor`]: B statevectors over one
 //!   shared schedule, batched readouts, and a batched parameter-shift
-//!   path that schedules **every** shift evaluation of a whole minibatch
-//!   as one flat queue. Batched results are bit-identical to serial ones
-//!   (fold order is fixed; property-tested at 1e-12 against
-//!   `vqc::exec::run`).
+//!   path with one task per minibatch row. Batched results are
+//!   bit-identical to serial ones (fold order is fixed; property-tested
+//!   at 1e-12 against `vqc::exec::run`).
+//! * `shift` (crate-private) — the parameter-shift row walk: one pass
+//!   over the raw schedule per row, each shift evaluation resuming from
+//!   the prefix state before its gate, with trig, seed fingerprint and
+//!   shot-sampler buffers shared across the row.
 //! * [`backend`] — [`backend::ExecutionBackend`]: the execution-model
 //!   axis. `Ideal` (exact statevector, the default), `Sampled { shots }`
 //!   (finite-shot readout with content-addressed per-evaluation seeds),
@@ -41,8 +44,9 @@
 //!   (quantum-trajectory sampling of the same noise model at
 //!   statevector cost). String-constructible
 //!   (`"sampled:shots=1024"`), threaded through every executor queue and
-//!   [`qnn::CompiledVqc`]; stochastic backends differentiate by the
-//!   batched parameter-shift queue (adjoint stays `Ideal`-only).
+//!   [`qnn::CompiledVqc`]; `Sampled` and `Noisy` differentiate by the
+//!   parameter-shift rule, `Trajectory` by a per-trajectory adjoint
+//!   (the state adjoint stays `Ideal`-only).
 //! * [`superop`] — the compiled Noisy hot path: the raw schedule plus
 //!   its channels prebind **once** per evaluation batch into dense
 //!   per-gate superoperators ([`qmarl_qsim::superop`]) applied over
@@ -99,6 +103,7 @@ pub mod exec;
 pub mod prebound;
 pub mod qnn;
 pub mod rollout;
+mod shift;
 pub mod superop;
 pub mod trajectory;
 pub mod vec_rollout;

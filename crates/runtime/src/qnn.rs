@@ -58,7 +58,7 @@ impl CompiledVqc {
     /// [`ExecutionBackend::Ideal`], which is bit-identical to not setting
     /// a backend at all). Under `Sampled`/`Noisy`, every forward pass
     /// runs on that backend and **all** gradient requests route through
-    /// the batched parameter-shift queue — the adjoint and prebound paths
+    /// the batched parameter-shift path — the adjoint and prebound paths
     /// need exact statevectors and stay `Ideal`-only.
     pub fn with_backend(mut self, backend: ExecutionBackend) -> Self {
         self.backend = backend;
@@ -180,8 +180,9 @@ impl CompiledVqc {
     }
 
     /// Batched forward + Jacobian over a minibatch of observations under
-    /// shared parameters — the training hot path. All shift evaluations
-    /// across the whole minibatch form one flat work queue.
+    /// shared parameters — the training hot path of the parameter-shift
+    /// backends. Each observation is one task of the batch executor (a
+    /// parameter-shift row walk under `Ideal`/`Sampled`).
     ///
     /// # Errors
     ///
@@ -261,21 +262,6 @@ impl CompiledVqc {
                     .assemble_jacobian(&raw, &circ_jac, scales, biases)
             })
             .collect())
-    }
-
-    /// Batched **adjoint** forward + Jacobian — alias for
-    /// [`CompiledVqc::forward_with_jacobian_batch_prebound`], kept for the
-    /// PR-1 API surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors.
-    pub fn forward_with_jacobian_batch_adjoint(
-        &self,
-        inputs: &[Vec<f64>],
-        params: &[f64],
-    ) -> Result<Vec<(Vec<f64>, Jacobian)>, RuntimeError> {
-        self.forward_with_jacobian_batch_prebound(inputs, params)
     }
 
     /// Batched scalar evaluation (critic values): the first output of
@@ -507,7 +493,7 @@ mod tests {
         }
         // Adjoint batch agrees with parameter-shift to gradient precision.
         let adjoint = compiled
-            .forward_with_jacobian_batch_adjoint(&batch, &params)
+            .forward_with_jacobian_batch_prebound(&batch, &params)
             .unwrap();
         for ((_, a), (_, b)) in adjoint.iter().zip(&results) {
             assert!(a.max_abs_diff(b) < 1e-9);

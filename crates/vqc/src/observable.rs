@@ -6,7 +6,9 @@
 //! into one scalar ([`Readout::WeightedZSum`]).
 
 use qmarl_qsim::density::DensityMatrix;
+use qmarl_qsim::error::QsimError;
 use qmarl_qsim::measure;
+use qmarl_qsim::shots::ShotSampler;
 use qmarl_qsim::state::StateVector;
 
 use crate::error::VqcError;
@@ -93,19 +95,7 @@ impl Readout {
     /// Returns [`VqcError::ReadoutOutOfRange`] for a bad wire.
     pub fn evaluate(&self, state: &StateVector) -> Result<Vec<f64>, VqcError> {
         self.validate(state.n_qubits())?;
-        match self {
-            Readout::ZPerQubit { qubits } => qubits
-                .iter()
-                .map(|&q| measure::expectation_z(state, q).map_err(VqcError::from))
-                .collect(),
-            Readout::WeightedZSum { weights } => {
-                let mut acc = 0.0;
-                for (q, w) in weights.iter().enumerate() {
-                    acc += w * measure::expectation_z(state, q)?;
-                }
-                Ok(vec![acc])
-            }
-        }
+        self.fold_z(|q| measure::expectation_z(state, q))
     }
 
     /// Evaluates the readout from `shots` computational-basis samples —
@@ -124,7 +114,26 @@ impl Readout {
     ) -> Result<Vec<f64>, VqcError> {
         self.validate(state.n_qubits())?;
         let record = qmarl_qsim::shots::measure_shots(state, shots, rng)?;
-        self.evaluate_record(&record)
+        self.fold_z(|q| record.expectation_z(q))
+    }
+
+    /// [`Readout::evaluate_shots`] through a caller-owned [`ShotSampler`]
+    /// whose buffers are reused across calls — bit-identical to it for
+    /// the same RNG stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`Readout::evaluate_shots`].
+    pub fn evaluate_shots_with<R: rand::Rng + ?Sized>(
+        &self,
+        state: &StateVector,
+        shots: usize,
+        rng: &mut R,
+        sampler: &mut ShotSampler,
+    ) -> Result<Vec<f64>, VqcError> {
+        self.validate(state.n_qubits())?;
+        sampler.sample_state(state, shots, rng)?;
+        self.fold_z(|q| sampler.expectation_z(q))
     }
 
     /// Evaluates the readout from `shots` computational-basis samples of
@@ -143,28 +152,7 @@ impl Readout {
     ) -> Result<Vec<f64>, VqcError> {
         self.validate(rho.n_qubits())?;
         let record = qmarl_qsim::shots::measure_shots_density(rho, shots, rng)?;
-        self.evaluate_record(&record)
-    }
-
-    /// Folds a recorded sample batch through the readout (shared by the
-    /// pure- and mixed-state sampled paths).
-    fn evaluate_record(
-        &self,
-        record: &qmarl_qsim::shots::ShotRecord,
-    ) -> Result<Vec<f64>, VqcError> {
-        match self {
-            Readout::ZPerQubit { qubits } => qubits
-                .iter()
-                .map(|&q| record.expectation_z(q).map_err(VqcError::from))
-                .collect(),
-            Readout::WeightedZSum { weights } => {
-                let mut acc = 0.0;
-                for (q, w) in weights.iter().enumerate() {
-                    acc += w * record.expectation_z(q)?;
-                }
-                Ok(vec![acc])
-            }
-        }
+        self.fold_z(|q| record.expectation_z(q))
     }
 
     /// Evaluates the readout on a mixed state (noisy execution).
@@ -174,15 +162,21 @@ impl Readout {
     /// Returns [`VqcError::ReadoutOutOfRange`] for a bad wire.
     pub fn evaluate_density(&self, rho: &DensityMatrix) -> Result<Vec<f64>, VqcError> {
         self.validate(rho.n_qubits())?;
+        self.fold_z(|q| rho.expectation_z(q))
+    }
+
+    /// Folds per-wire `⟨Z_q⟩` values (exact, sampled or mixed-state)
+    /// through the readout — the one place the output layout lives.
+    fn fold_z(&self, z: impl Fn(usize) -> Result<f64, QsimError>) -> Result<Vec<f64>, VqcError> {
         match self {
             Readout::ZPerQubit { qubits } => qubits
                 .iter()
-                .map(|&q| rho.expectation_z(q).map_err(VqcError::from))
+                .map(|&q| z(q).map_err(VqcError::from))
                 .collect(),
             Readout::WeightedZSum { weights } => {
                 let mut acc = 0.0;
                 for (q, w) in weights.iter().enumerate() {
-                    acc += w * rho.expectation_z(q)?;
+                    acc += w * z(q)?;
                 }
                 Ok(vec![acc])
             }
@@ -262,6 +256,40 @@ mod tests {
                 assert!((a - b).abs() < 0.02, "{a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn reused_sampler_readout_is_bit_identical_to_evaluate_shots() {
+        use rand::SeedableRng;
+        let mut s = StateVector::zero(3);
+        for q in 0..3 {
+            s.apply_gate1(q, &Gate1::ry(0.4 + 0.7 * q as f64)).unwrap();
+        }
+        let mut sampler = ShotSampler::default();
+        for readout in [
+            Readout::z_all(3),
+            Readout::ZPerQubit { qubits: vec![2, 0] },
+            Readout::WeightedZSum {
+                weights: vec![0.5, -1.25, 2.0],
+            },
+        ] {
+            for seed in 0..4 {
+                let rng = || rand::rngs::StdRng::seed_from_u64(seed);
+                assert_eq!(
+                    readout
+                        .evaluate_shots_with(&s, 64, &mut rng(), &mut sampler)
+                        .unwrap(),
+                    readout.evaluate_shots(&s, 64, &mut rng()).unwrap()
+                );
+            }
+        }
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        assert!(Readout::ZPerQubit { qubits: vec![5] }
+            .evaluate_shots_with(&s, 8, &mut rng, &mut sampler)
+            .is_err());
+        assert!(Readout::z_all(3)
+            .evaluate_shots_with(&s, 0, &mut rng, &mut sampler)
+            .is_err());
     }
 
     #[test]
