@@ -22,6 +22,8 @@
 //! Results are folded in deterministic (input, occurrence) order, so
 //! batched outputs are bit-identical to their serial counterparts.
 
+use std::ops::Range;
+
 use qmarl_qsim::density::DensityMatrix;
 use qmarl_qsim::par;
 use qmarl_qsim::state::StateVector;
@@ -35,7 +37,8 @@ use crate::compile::CompiledCircuit;
 use crate::error::RuntimeError;
 use crate::exec::{check_bindings, rotation_angle, run_schedule_unchecked};
 use crate::prebound::{
-    readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw, PreboundAdjoint, PreboundCircuit,
+    readouts_from_slab, run_adjoint_slab, run_prebound_slab_raw, run_vjp_slab, PreboundAdjoint,
+    PreboundCircuit,
 };
 use crate::shift::{forward_and_jacobian_row, RowReadout};
 use crate::superop::{
@@ -57,6 +60,10 @@ pub struct PreboundGroup<'a> {
 /// results of a prebound adjoint batch.
 pub type AdjointBatchResults = Vec<Vec<(Vec<f64>, Jacobian)>>;
 
+/// Per-group, per-item `(raw readout vector, gradient)` results of a
+/// prebound vector-Jacobian batch.
+pub type VjpBatchResults = Vec<Vec<(Vec<f64>, Vec<f64>)>>;
+
 /// One shared-parameter group of a prebound **adjoint** batch: a frozen
 /// adjoint schedule plus the input vectors to differentiate under it.
 #[derive(Debug)]
@@ -66,6 +73,53 @@ pub struct AdjointGroup<'a> {
     pub circuit: &'a PreboundAdjoint,
     /// Input vectors, as slices into caller-owned storage.
     pub inputs: Vec<&'a [f64]>,
+}
+
+/// The chain rule at a readout, for [`BatchExecutor::vjp_batch_prebound`]:
+/// given `(group, row, raw readout)`, returns `(∂L/∂raw, ∂L/∂θ_post)` —
+/// the cotangent the reverse sweep contracts, and the gradient of any
+/// classical post-processing parameters (appended after the circuit
+/// gradient; empty when there are none).
+pub type ReadoutPullback<'f> = dyn Fn(usize, usize, &[f64]) -> (Vec<f64>, Vec<f64>) + Sync + 'f;
+
+/// Validates a readout against a prebound group's width and every input
+/// vector against its arity.
+fn check_lane_inputs(
+    readout: &Readout,
+    n_qubits: usize,
+    n_inputs: usize,
+    inputs: &[&[f64]],
+) -> Result<(), RuntimeError> {
+    readout.validate(n_qubits)?;
+    for item in inputs {
+        if item.len() != n_inputs {
+            return Err(RuntimeError::InputLenMismatch {
+                expected: n_inputs,
+                actual: item.len(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// [`check_lane_inputs`] over every adjoint group; returns the group
+/// lengths.
+fn check_adjoint_groups(
+    readout: &Readout,
+    groups: &[AdjointGroup<'_>],
+) -> Result<Vec<usize>, RuntimeError> {
+    groups
+        .iter()
+        .map(|group| {
+            check_lane_inputs(
+                readout,
+                group.circuit.n_qubits(),
+                group.circuit.n_inputs(),
+                &group.inputs,
+            )
+            .map(|()| group.inputs.len())
+        })
+        .collect()
 }
 
 /// Evaluates compiled schedules over batches of bindings in parallel.
@@ -198,53 +252,27 @@ impl BatchExecutor {
         readout: &Readout,
         groups: &[PreboundGroup<'_>],
     ) -> Result<Vec<Vec<Vec<f64>>>, RuntimeError> {
-        let mut total_items = 0usize;
         for group in groups {
-            readout.validate(group.circuit.n_qubits())?;
-            total_items += group.inputs.len();
-            for inputs in &group.inputs {
-                if inputs.len() != group.circuit.n_inputs() {
-                    return Err(RuntimeError::InputLenMismatch {
-                        expected: group.circuit.n_inputs(),
-                        actual: inputs.len(),
-                    });
-                }
-            }
+            check_lane_inputs(
+                readout,
+                group.circuit.n_qubits(),
+                group.circuit.n_inputs(),
+                &group.inputs,
+            )?;
         }
-        // One task per (group, lane chunk): big enough to amortise the
-        // slab walk, small enough to fill every worker.
-        let chunk = (total_items / self.workers.max(1)).clamp(1, 64);
-        let tasks: Vec<(usize, usize, usize)> = groups
-            .iter()
-            .enumerate()
-            .flat_map(|(g, group)| {
-                (0..group.inputs.len())
-                    .step_by(chunk)
-                    .map(move |start| (g, start, (start + chunk).min(group.inputs.len())))
-            })
-            .collect();
         // Readout validation already ran, so the per-task work is
         // infallible: walk the chunk's slab once, then fold each lane's
         // readout straight off it.
-        let results: Vec<Vec<Vec<f64>>> =
-            par::parallel_map(&tasks, self.workers, |_, &(g, start, end)| {
-                let chunk_inputs = &groups[g].inputs[start..end];
-                let slab = run_prebound_slab_raw(groups[g].circuit, chunk_inputs);
-                readouts_from_slab(readout, &slab, chunk_inputs.len())
-            });
-        let mut out: Vec<Vec<Vec<f64>>> = groups
-            .iter()
-            .map(|group| Vec::with_capacity(group.inputs.len()))
-            .collect();
-        for (&(g, _, _), chunk_results) in tasks.iter().zip(results) {
-            out[g].extend(chunk_results);
-        }
-        Ok(out)
+        let lens: Vec<usize> = groups.iter().map(|group| group.inputs.len()).collect();
+        Ok(self.run_lane_chunks(&lens, 64, |g, rows| {
+            let chunk_inputs = &groups[g].inputs[rows];
+            let slab = run_prebound_slab_raw(groups[g].circuit, chunk_inputs);
+            readouts_from_slab(readout, &slab, chunk_inputs.len())
+        }))
     }
 
     /// Batched **prebound adjoint** forward + Jacobian, grouped by
-    /// parameter set — the update-sweep hot path. Each group's frozen
-    /// parameters were resolved once by
+    /// parameter set. Each group's frozen parameters were resolved once by
     /// [`crate::prebound::prebind_adjoint`] (hoisting every
     /// parameter-only rotation's forward *and* inverse trig); a task runs
     /// a contiguous lane chunk of one group through a single
@@ -263,44 +291,93 @@ impl BatchExecutor {
         readout: &Readout,
         groups: &[AdjointGroup<'_>],
     ) -> Result<AdjointBatchResults, RuntimeError> {
-        let mut total_items = 0usize;
-        for group in groups {
-            readout.validate(group.circuit.n_qubits())?;
-            total_items += group.inputs.len();
-            for inputs in &group.inputs {
-                if inputs.len() != group.circuit.n_inputs() {
-                    return Err(RuntimeError::InputLenMismatch {
-                        expected: group.circuit.n_inputs(),
-                        actual: inputs.len(),
-                    });
-                }
+        let lens = check_adjoint_groups(readout, groups)?;
+        // The adjoint walk keeps (2 + outputs) slabs live, so chunks stay
+        // small enough for cache while still amortising the per-walk
+        // dispatch.
+        Ok(self.run_lane_chunks(&lens, 32, |g, rows| {
+            run_adjoint_slab(groups[g].circuit, readout, &groups[g].inputs[rows])
+        }))
+    }
+
+    /// Batched **vector-Jacobian** adjoint, grouped by parameter set —
+    /// the actor update's hot path. Per row it walks the schedule forward
+    /// once, asks `pullback(group, row, raw readout)` for the chain rule
+    /// at the readout, `(∂L/∂raw, ∂L/∂θ_post)`, and runs one reverse sweep
+    /// over two slabs (φ and the single `λ = Σ_j (∂L/∂raw_j) O_j ψ`)
+    /// instead of building the full Jacobian. Returns each row's
+    /// `(raw readout, gradient)`, where the gradient is the circuit part
+    /// `Jᵀ·∂L/∂raw` followed by `∂L/∂θ_post`.
+    ///
+    /// Same lane-chunk queue as
+    /// [`BatchExecutor::forward_and_jacobian_batch_prebound`]; per row
+    /// the values are independent of chunking and worker count (bit for
+    /// bit), and agree with the Jacobian contraction to floating-point
+    /// reassociation.
+    ///
+    /// # Errors
+    ///
+    /// Returns binding-length or readout-validation errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pullback` returns a readout cotangent whose length is
+    /// not the readout's output count.
+    pub fn vjp_batch_prebound(
+        &self,
+        readout: &Readout,
+        groups: &[AdjointGroup<'_>],
+        pullback: &ReadoutPullback<'_>,
+    ) -> Result<VjpBatchResults, RuntimeError> {
+        let lens = check_adjoint_groups(readout, groups)?;
+        Ok(self.run_lane_chunks(&lens, 32, |g, rows| {
+            let start = rows.start;
+            let mut post_grads = Vec::with_capacity(rows.len());
+            let mut lanes = run_vjp_slab(
+                groups[g].circuit,
+                readout,
+                &groups[g].inputs[rows],
+                |lane, raw| {
+                    let (cotangent, post) = pullback(g, start + lane, raw);
+                    post_grads.push(post);
+                    cotangent
+                },
+            );
+            for ((_, grad), post) in lanes.iter_mut().zip(post_grads) {
+                grad.extend(post);
             }
-        }
-        // One task per (group, lane chunk): the adjoint walk keeps
-        // (2 + outputs) slabs live, so chunks stay small enough for cache
-        // while still amortising the per-walk dispatch.
-        let chunk = (total_items / self.workers.max(1)).clamp(1, 32);
-        let tasks: Vec<(usize, usize, usize)> = groups
+            lanes
+        }))
+    }
+
+    /// The shared lane-chunk queue of the prebound paths: one task per
+    /// (group, contiguous row chunk) — chunks sized to fill every worker
+    /// but capped at `max_chunk` lanes — drained by the executor's
+    /// workers, with each group's results reassembled in row order.
+    fn run_lane_chunks<R: Send>(
+        &self,
+        lens: &[usize],
+        max_chunk: usize,
+        task: impl Fn(usize, Range<usize>) -> Vec<R> + Sync,
+    ) -> Vec<Vec<R>> {
+        let total: usize = lens.iter().sum();
+        let chunk = (total / self.workers.max(1)).clamp(1, max_chunk);
+        let tasks: Vec<(usize, Range<usize>)> = lens
             .iter()
             .enumerate()
-            .flat_map(|(g, group)| {
-                (0..group.inputs.len())
+            .flat_map(|(g, &len)| {
+                (0..len)
                     .step_by(chunk)
-                    .map(move |start| (g, start, (start + chunk).min(group.inputs.len())))
+                    .map(move |start| (g, start..(start + chunk).min(len)))
             })
             .collect();
-        let results: Vec<Vec<(Vec<f64>, Jacobian)>> =
-            par::parallel_map(&tasks, self.workers, |_, &(g, start, end)| {
-                run_adjoint_slab(groups[g].circuit, readout, &groups[g].inputs[start..end])
-            });
-        let mut out: AdjointBatchResults = groups
-            .iter()
-            .map(|group| Vec::with_capacity(group.inputs.len()))
-            .collect();
-        for (&(g, _, _), chunk_results) in tasks.iter().zip(results) {
-            out[g].extend(chunk_results);
+        let results =
+            par::parallel_map(&tasks, self.workers, |_, (g, rows)| task(*g, rows.clone()));
+        let mut out: Vec<Vec<R>> = lens.iter().map(|&len| Vec::with_capacity(len)).collect();
+        for ((g, _), chunk_results) in tasks.iter().zip(results) {
+            out[*g].extend(chunk_results);
         }
-        Ok(out)
+        out
     }
 
     /// Batched forward pass under an [`ExecutionBackend`]: one readout

@@ -105,6 +105,8 @@ pub mod qnn;
 pub mod rollout;
 mod shift;
 pub mod superop;
+#[cfg(test)]
+mod test_circuits;
 pub mod trajectory;
 pub mod vec_rollout;
 

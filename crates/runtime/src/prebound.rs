@@ -1195,9 +1195,114 @@ fn accumulate_generator_im(
     }
 }
 
+/// Per-lane trig scratch of the adjoint walks, reused across gates.
+struct LaneTrig {
+    xy: Vec<(f64, f64)>,
+    zlo: Vec<(f64, f64)>,
+    zhi: Vec<(f64, f64)>,
+}
+
+impl LaneTrig {
+    fn new(lanes: usize) -> Self {
+        LaneTrig {
+            xy: Vec::with_capacity(lanes),
+            zlo: Vec::with_capacity(lanes),
+            zhi: Vec::with_capacity(lanes),
+        }
+    }
+}
+
+/// Forward walk over the raw (unfused) schedule: the serial adjoint
+/// differentiates the op list 1:1, so no fusion here either. Returns the
+/// final φ slab the reverse sweep starts from.
+fn adjoint_forward(pa: &PreboundAdjoint, inputs: &[&[f64]], trig: &mut LaneTrig) -> Vec<Complex64> {
+    let lanes = inputs.len();
+    let dim = 1usize << pa.n_qubits;
+    let mut phi = vec![Complex64::ZERO; dim * lanes];
+    for cell in phi[..lanes].iter_mut() {
+        *cell = Complex64::ONE;
+    }
+    for op in &pa.ops {
+        adj_apply(
+            &op.gate,
+            false,
+            &mut phi,
+            lanes,
+            dim,
+            inputs,
+            &pa.params,
+            &mut trig.xy,
+            &mut trig.zlo,
+            &mut trig.zhi,
+        );
+    }
+    phi
+}
+
+/// The reverse sweep shared by the Jacobian and the vector-Jacobian
+/// adjoints. Starting from the forward slab `phi` and the caller-built
+/// λ slabs, it walks the schedule backwards; at every trainable
+/// occurrence of parameter `p` it hands `sink(p, accs)` the contributions
+/// `accs[j·lanes + lane] = Im⟨λ_j|G|φ⟩` (φ = ψ_k, the state *after*
+/// gate k, and λ = λ_k — exactly the serial sweep's
+/// `∂E/∂θ += Im⟨λ_k|G|ψ_k⟩`), then un-applies the gate from φ and every
+/// λ. How λ is built and where the contributions land are the callers'
+/// business; the sweep itself is one implementation.
+fn adjoint_reverse(
+    pa: &PreboundAdjoint,
+    inputs: &[&[f64]],
+    phi: &mut [Complex64],
+    lambdas: &mut [Vec<Complex64>],
+    trig: &mut LaneTrig,
+    mut sink: impl FnMut(usize, &[f64]),
+) {
+    let lanes = inputs.len();
+    let dim = 1usize << pa.n_qubits;
+    let mut accs = vec![0.0f64; lambdas.len() * lanes];
+    let mut gbuf = vec![Complex64::new(0.0, 0.0); lanes];
+    // The reverse sweep only exists to serve the accumulates: states
+    // before the first parameterised op (the input-encoder prefix) are
+    // never read, so the sweep ends right after that op's contribution
+    // instead of un-applying the prefix through φ and every λ.
+    let Some(first_param) = pa.ops.iter().position(|op| op.param.is_some()) else {
+        return;
+    };
+    for (k, op) in pa.ops.iter().enumerate().rev() {
+        if let Some(p) = op.param {
+            accs.fill(0.0);
+            let lrefs: Vec<&[Complex64]> = lambdas.iter().map(|l| l.as_slice()).collect();
+            accumulate_generator_im(&op.gate, phi, &lrefs, lanes, dim, &mut accs, &mut gbuf);
+            sink(p, &accs);
+        }
+        if k == first_param {
+            break;
+        }
+        // Un-apply the gate from φ and every λ, resolving any
+        // input-dependent trig once for all of them.
+        resolve_sym_trig(
+            &op.gate,
+            true,
+            inputs,
+            &pa.params,
+            &mut trig.xy,
+            &mut trig.zlo,
+            &mut trig.zhi,
+        );
+        adj_apply_resolved(
+            &op.gate, true, phi, lanes, dim, &trig.xy, &trig.zlo, &trig.zhi,
+        );
+        for lam in lambdas.iter_mut() {
+            adj_apply_resolved(
+                &op.gate, true, lam, lanes, dim, &trig.xy, &trig.zlo, &trig.zhi,
+            );
+        }
+    }
+}
+
 /// Runs the adjoint sweep over all `inputs` lanes in one pair of schedule
 /// walks (forward, then reverse reusing the forward slab), returning each
-/// lane's `(raw readout vector, circuit-parameter Jacobian)`.
+/// lane's `(raw readout vector, circuit-parameter Jacobian)`: one λ slab
+/// per readout output.
 ///
 /// Bit-identical per lane to `readout.evaluate(vqc::exec::run(…))` plus
 /// `qmarl_vqc::grad::jacobian_adjoint` — input lengths and the readout are
@@ -1211,70 +1316,113 @@ pub(crate) fn run_adjoint_slab(
     if lanes == 0 {
         return Vec::new();
     }
-    let dim = 1usize << pa.n_qubits;
     let n_out = readout.output_len();
-    let mut xy: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-    let mut zlo: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-    let mut zhi: Vec<(f64, f64)> = Vec::with_capacity(lanes);
-
-    // Forward walk over the raw (unfused) schedule: the serial adjoint
-    // differentiates the op list 1:1, so no fusion here either.
-    let mut phi = vec![Complex64::ZERO; dim * lanes];
-    for cell in phi[..lanes].iter_mut() {
-        *cell = Complex64::ONE;
-    }
-    for op in &pa.ops {
-        adj_apply(
-            &op.gate, false, &mut phi, lanes, dim, inputs, &pa.params, &mut xy, &mut zlo, &mut zhi,
-        );
-    }
-
+    let mut trig = LaneTrig::new(lanes);
+    let mut phi = adjoint_forward(pa, inputs, &mut trig);
     let outs = readouts_from_slab(readout, &phi, lanes);
 
     // λ_j = O_j |ψ⟩ per output observable, then the reverse sweep.
-    let observables = SlabObservable::of_readout(readout);
-    let mut lambdas: Vec<Vec<Complex64>> = observables
+    let mut lambdas: Vec<Vec<Complex64>> = SlabObservable::of_readout(readout)
         .iter()
         .map(|o| o.apply_slab(&phi, lanes))
         .collect();
-
     let mut jacs = vec![Jacobian::zeros(n_out, pa.n_params); lanes];
-    let mut accs = vec![0.0f64; n_out * lanes];
-    let mut gbuf = vec![Complex64::new(0.0, 0.0); lanes];
-    // The reverse sweep only exists to serve the accumulates: states
-    // before the first parameterised op (the input-encoder prefix) are
-    // never read, so the sweep ends right after that op's contribution
-    // instead of un-applying the prefix through φ and every λ.
-    let Some(first_param) = pa.ops.iter().position(|op| op.param.is_some()) else {
-        return outs.into_iter().zip(jacs).collect();
-    };
-    for (k, op) in pa.ops.iter().enumerate().rev() {
-        // Contribution uses φ = ψ_k (state *after* gate k) and λ = λ_k,
-        // exactly like the serial sweep: ∂E/∂θ += Im⟨λ_k|G|ψ_k⟩.
-        if let Some(p) = op.param {
-            accs.fill(0.0);
-            let lrefs: Vec<&[Complex64]> = lambdas.iter().map(|l| l.as_slice()).collect();
-            accumulate_generator_im(&op.gate, &phi, &lrefs, lanes, dim, &mut accs, &mut gbuf);
-            for (lane, jac) in jacs.iter_mut().enumerate() {
-                for j in 0..n_out {
-                    *jac.get_mut(j, p) += accs[j * lanes + lane];
-                }
+    adjoint_reverse(pa, inputs, &mut phi, &mut lambdas, &mut trig, |p, accs| {
+        for (lane, jac) in jacs.iter_mut().enumerate() {
+            for j in 0..n_out {
+                *jac.get_mut(j, p) += accs[j * lanes + lane];
             }
         }
-        if k == first_param {
-            break;
-        }
-        // Un-apply the gate from φ and every λ, resolving any
-        // input-dependent trig once for all of them.
-        resolve_sym_trig(
-            &op.gate, true, inputs, &pa.params, &mut xy, &mut zlo, &mut zhi,
-        );
-        adj_apply_resolved(&op.gate, true, &mut phi, lanes, dim, &xy, &zlo, &zhi);
-        for lam in &mut lambdas {
-            adj_apply_resolved(&op.gate, true, lam, lanes, dim, &xy, &zlo, &zhi);
+    });
+    outs.into_iter().zip(jacs).collect()
+}
+
+/// The diagonal of every readout observable, `diag[j·dim + i] = ⟨i|O_j|i⟩`
+/// — `±1` for a single-wire Z, and the serial weighted-Z coefficient
+/// (folded over qubits in wire order, as [`SlabObservable::apply_slab`]
+/// folds it) for a weighted sum.
+fn readout_diagonals(readout: &Readout, dim: usize) -> Vec<f64> {
+    let mut diag = Vec::with_capacity(readout.output_len() * dim);
+    for obs in SlabObservable::of_readout(readout) {
+        match obs {
+            SlabObservable::SingleZ(q) => {
+                diag.extend((0..dim).map(|i| if i & (1usize << q) == 0 { 1.0 } else { -1.0 }));
+            }
+            SlabObservable::WeightedZ(weights) => diag.extend((0..dim).map(|i| {
+                let mut coeff = 0.0;
+                for (q, w) in weights.iter().enumerate() {
+                    let sign = if i & (1usize << q) == 0 { 1.0 } else { -1.0 };
+                    coeff += w * sign;
+                }
+                coeff
+            })),
         }
     }
-    outs.into_iter().zip(jacs).collect()
+    diag
+}
+
+/// The vector-Jacobian adjoint: each lane's gradient of one scalar loss
+/// whose cotangent at the raw readout is `w = cotangent(lane, raw)`.
+///
+/// Where [`run_adjoint_slab`] keeps one λ slab per readout output and
+/// returns the whole Jacobian, this builds the **single**
+/// `λ = Σ_j w_j O_j |ψ⟩` per lane (the observables are diagonal, so λ is
+/// ψ scaled by `Σ_j w_j ⟨i|O_j|i⟩` amplitude by amplitude) and runs the
+/// shared reverse sweep on two slabs (φ, λ) with one accumulator per
+/// lane. By linearity of `Im⟨λ|G|φ⟩` in λ the result is
+/// `Σ_j w_j ∂⟨O_j⟩/∂θ` — the Jacobian contraction `Jᵀw`, equal to it up
+/// to floating-point reassociation.
+///
+/// Returns each lane's `(raw readout vector, circuit gradient)`. Lanes
+/// are independent and every per-lane fold runs in a fixed order, so the
+/// values do not depend on the lane count or chunking. Input lengths and
+/// the readout are the caller's responsibility.
+pub(crate) fn run_vjp_slab(
+    pa: &PreboundAdjoint,
+    readout: &Readout,
+    inputs: &[&[f64]],
+    mut cotangent: impl FnMut(usize, &[f64]) -> Vec<f64>,
+) -> Vec<(Vec<f64>, Vec<f64>)> {
+    let lanes = inputs.len();
+    if lanes == 0 {
+        return Vec::new();
+    }
+    let dim = 1usize << pa.n_qubits;
+    let n_out = readout.output_len();
+    let mut trig = LaneTrig::new(lanes);
+    let mut phi = adjoint_forward(pa, inputs, &mut trig);
+    let outs = readouts_from_slab(readout, &phi, lanes);
+
+    let weights: Vec<Vec<f64>> = outs
+        .iter()
+        .enumerate()
+        .map(|(lane, raw)| {
+            let w = cotangent(lane, raw);
+            assert_eq!(w.len(), n_out, "one cotangent entry per readout output");
+            w
+        })
+        .collect();
+    let diag = readout_diagonals(readout, dim);
+    let mut lambda = vec![Complex64::ZERO; dim * lanes];
+    for i in 0..dim {
+        let row = i * lanes..(i + 1) * lanes;
+        for ((l, &a), w) in lambda[row.clone()].iter_mut().zip(&phi[row]).zip(&weights) {
+            let mut coeff = 0.0;
+            for (j, &wj) in w.iter().enumerate() {
+                coeff += wj * diag[j * dim + i];
+            }
+            *l = a.scale(coeff);
+        }
+    }
+
+    let mut grads = vec![vec![0.0; pa.n_params]; lanes];
+    let mut lambdas = [lambda];
+    adjoint_reverse(pa, inputs, &mut phi, &mut lambdas, &mut trig, |p, accs| {
+        for (grad, &acc) in grads.iter_mut().zip(accs) {
+            grad[p] += acc;
+        }
+    });
+    outs.into_iter().zip(grads).collect()
 }
 
 #[cfg(test)]
