@@ -281,6 +281,30 @@ impl QuantumActor {
         Ok(logits.iter().map(|l| softmax(l)).collect())
     }
 
+    /// The MAPG gradients by the runtime's vector-Jacobian adjoint: the
+    /// softmax pullback `regularized_upstream(softmax(logits), …)` is the
+    /// cotangent of each row's logits, so the circuit is swept back once
+    /// per row with a single λ instead of contracting a full Jacobian.
+    fn vjp_gradients(
+        &self,
+        obs: &[Vec<f64>],
+        actions: &[usize],
+        advantages: &[f64],
+        entropy_coef: f64,
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        let upstream = |row: usize, logits: &[f64]| {
+            regularized_upstream(
+                &softmax(logits),
+                actions[row],
+                advantages[row],
+                entropy_coef,
+            )
+        };
+        Ok(self
+            .model
+            .vjp_batch_prebound(obs, &self.params, &upstream)?)
+    }
+
     fn check_obs(&self, obs: &[f64]) -> Result<(), CoreError> {
         if obs.len() != self.model.model().input_len() {
             return Err(CoreError::FeatureLenMismatch {
@@ -327,6 +351,13 @@ impl Actor for QuantumActor {
         entropy_coef: f64,
     ) -> Result<Vec<f64>, CoreError> {
         self.check_obs(obs)?;
+        if self.grad_method == GradMethod::Adjoint {
+            // A one-row call of the batched path, so the serial and
+            // batched update engines stay bit-identical.
+            let mut grads =
+                self.vjp_gradients(&[obs.to_vec()], &[action], &[advantage], entropy_coef)?;
+            return Ok(grads.pop().expect("one row in, one out"));
+        }
         let (logits, jac) =
             self.model
                 .forward_with_jacobian(obs, &self.params, self.grad_method)?;
@@ -348,11 +379,11 @@ impl Actor for QuantumActor {
             self.check_obs(o)?;
         }
         let results = match self.grad_method {
-            // The prebound adjoint engine: all transitions as lane slabs
-            // behind hoisted trig.
-            GradMethod::Adjoint => self
-                .model
-                .forward_with_jacobian_batch_prebound(obs, &self.params)?,
+            // One vector-Jacobian adjoint per transition: all of them as
+            // lane slabs behind hoisted trig, no Jacobian built.
+            GradMethod::Adjoint => {
+                return self.vjp_gradients(obs, actions, advantages, entropy_coef);
+            }
             // Adjoint unavailable (hardware-rule gradients requested):
             // every shift evaluation of the whole batch as one flat
             // parameter-shift queue.

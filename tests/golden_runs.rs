@@ -77,10 +77,10 @@ const TRAJECTORY: &str = "trajectory:p1=0.01:p2=0.02:samples=8:seed=7";
 /// The committed Ideal fingerprints, one per registered scenario. Both
 /// update engines must land exactly here.
 const GOLDEN_IDEAL: &[(&str, u64)] = &[
-    ("single-hop", 0x2d4127626c773035),
-    ("single-hop-bursty", 0xbc062285bab833f1),
-    ("single-hop-wide", 0x87db07a0c9e457da),
-    ("two-tier", 0xe432d12bfb45dbdf),
+    ("single-hop", 0x66eb5251dbb81ed8),
+    ("single-hop-bursty", 0x5ecc57ed8dd559c9),
+    ("single-hop-wide", 0xf8e2c722685d3775),
+    ("two-tier", 0x4643143e1cf237d2),
 ];
 
 /// Committed fingerprints for a short Noisy (superoperator density +
