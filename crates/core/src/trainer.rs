@@ -103,21 +103,19 @@ impl TrainingHistory {
     }
 
     /// Mean total reward over the last `n` epochs (the "converged reward"
-    /// the paper quotes per framework).
+    /// the paper quotes per framework); `None` before the first epoch or
+    /// for `n == 0`.
     pub fn final_reward(&self, n: usize) -> Option<f64> {
-        if self.records.is_empty() {
-            return None;
-        }
-        let tail = &self.records[self.records.len().saturating_sub(n)..];
-        Some(tail.iter().map(|r| r.metrics.total_reward).sum::<f64>() / tail.len() as f64)
+        self.final_metric(n, |r| r.metrics.total_reward)
     }
 
-    /// Mean of an arbitrary metric over the last `n` epochs.
+    /// Mean of an arbitrary metric over the last `n` epochs; `None` when
+    /// that tail is empty (no epochs yet, or `n == 0`).
     pub fn final_metric<F: Fn(&EpochRecord) -> f64>(&self, n: usize, f: F) -> Option<f64> {
-        if self.records.is_empty() {
+        let tail = &self.records[self.records.len().saturating_sub(n)..];
+        if tail.is_empty() {
             return None;
         }
-        let tail = &self.records[self.records.len().saturating_sub(n)..];
         Some(tail.iter().map(f).sum::<f64>() / tail.len() as f64)
     }
 
@@ -387,9 +385,13 @@ impl<E: MultiAgentEnv> CtdeTrainer<E> {
     pub fn update_sweep(&mut self, batch_episodes: usize) -> Result<f64, CoreError> {
         let gamma = self.config.gamma;
         let beta = self.config.entropy_coef;
-        let episodes: Vec<Episode> = self.replay.recent(batch_episodes).cloned().collect();
-        let transitions: Vec<&Transition> =
-            episodes.iter().flat_map(|ep| ep.transitions()).collect();
+        // Borrowed straight out of the replay buffer: the sweep reads the
+        // episodes and mutates only the models and optimisers.
+        let transitions: Vec<&Transition> = self
+            .replay
+            .recent(batch_episodes)
+            .flat_map(|ep| ep.transitions())
+            .collect();
         if transitions.is_empty() {
             return Ok(0.0);
         }
@@ -1032,6 +1034,21 @@ mod tests {
         assert!((f - manual).abs() < 1e-12);
         assert!(h.final_metric(2, |r| r.metrics.avg_queue).is_some());
         assert!(TrainingHistory::default().final_reward(5).is_none());
+    }
+
+    #[test]
+    fn empty_tail_has_no_mean() {
+        // n == 0 selects no epochs: no mean, not the 0/0 NaN.
+        let mut t = quantum_setup(4);
+        t.train(2).unwrap();
+        let h = t.history();
+        assert_eq!(h.final_reward(0), None);
+        assert_eq!(h.final_metric(0, |r| r.metrics.avg_queue), None);
+        assert!(h.final_reward(1).is_some_and(f64::is_finite));
+        assert_eq!(
+            TrainingHistory::default().final_metric(0, |r| r.critic_loss),
+            None
+        );
     }
 
     #[test]
