@@ -17,7 +17,11 @@
 //!   parameter-shift path: one task per minibatch row, each a single
 //!   **row walk** (the crate-private `shift` module) that shares the
 //!   schedule prefix, the rotation trig and (under shot sampling) the
-//!   seed fingerprint across all of the row's shift evaluations.
+//!   seed fingerprint across all of the row's shift evaluations,
+//! * [`BatchExecutor::expectation_batch_prebound`] and
+//!   [`BatchExecutor::forward_and_jacobian_batch_prebound`] (and the
+//!   crate's vector-Jacobian twin of the latter) — frozen-parameter
+//!   schedules run as lane slabs, one task per contiguous row chunk.
 //!
 //! Results are folded in deterministic (input, occurrence) order, so
 //! batched outputs are bit-identical to their serial counterparts.
@@ -60,10 +64,6 @@ pub struct PreboundGroup<'a> {
 /// results of a prebound adjoint batch.
 pub type AdjointBatchResults = Vec<Vec<(Vec<f64>, Jacobian)>>;
 
-/// Per-group, per-item `(raw readout vector, gradient)` results of a
-/// prebound vector-Jacobian batch.
-pub type VjpBatchResults = Vec<Vec<(Vec<f64>, Vec<f64>)>>;
-
 /// One shared-parameter group of a prebound **adjoint** batch: a frozen
 /// adjoint schedule plus the input vectors to differentiate under it.
 #[derive(Debug)]
@@ -76,11 +76,11 @@ pub struct AdjointGroup<'a> {
 }
 
 /// The chain rule at a readout, for [`BatchExecutor::vjp_batch_prebound`]:
-/// given `(group, row, raw readout)`, returns `(∂L/∂raw, ∂L/∂θ_post)` —
-/// the cotangent the reverse sweep contracts, and the gradient of any
+/// given `(row, raw readout)`, returns `(∂L/∂raw, ∂L/∂θ_post)` — the
+/// cotangent the reverse sweep contracts, and the gradient of any
 /// classical post-processing parameters (appended after the circuit
 /// gradient; empty when there are none).
-pub type ReadoutPullback<'f> = dyn Fn(usize, usize, &[f64]) -> (Vec<f64>, Vec<f64>) + Sync + 'f;
+pub(crate) type ReadoutPullback<'f> = dyn Fn(usize, &[f64]) -> (Vec<f64>, Vec<f64>) + Sync + 'f;
 
 /// Validates a readout against a prebound group's width and every input
 /// vector against its arity.
@@ -100,26 +100,6 @@ fn check_lane_inputs(
         }
     }
     Ok(())
-}
-
-/// [`check_lane_inputs`] over every adjoint group; returns the group
-/// lengths.
-fn check_adjoint_groups(
-    readout: &Readout,
-    groups: &[AdjointGroup<'_>],
-) -> Result<Vec<usize>, RuntimeError> {
-    groups
-        .iter()
-        .map(|group| {
-            check_lane_inputs(
-                readout,
-                group.circuit.n_qubits(),
-                group.circuit.n_inputs(),
-                &group.inputs,
-            )
-            .map(|()| group.inputs.len())
-        })
-        .collect()
 }
 
 /// Evaluates compiled schedules over batches of bindings in parallel.
@@ -291,7 +271,15 @@ impl BatchExecutor {
         readout: &Readout,
         groups: &[AdjointGroup<'_>],
     ) -> Result<AdjointBatchResults, RuntimeError> {
-        let lens = check_adjoint_groups(readout, groups)?;
+        for group in groups {
+            check_lane_inputs(
+                readout,
+                group.circuit.n_qubits(),
+                group.circuit.n_inputs(),
+                &group.inputs,
+            )?;
+        }
+        let lens: Vec<usize> = groups.iter().map(|group| group.inputs.len()).collect();
         // The adjoint walk keeps (2 + outputs) slabs live, so chunks stay
         // small enough for cache while still amortising the per-walk
         // dispatch.
@@ -300,14 +288,14 @@ impl BatchExecutor {
         }))
     }
 
-    /// Batched **vector-Jacobian** adjoint, grouped by parameter set —
-    /// the actor update's hot path. Per row it walks the schedule forward
-    /// once, asks `pullback(group, row, raw readout)` for the chain rule
-    /// at the readout, `(∂L/∂raw, ∂L/∂θ_post)`, and runs one reverse sweep
-    /// over two slabs (φ and the single `λ = Σ_j (∂L/∂raw_j) O_j ψ`)
-    /// instead of building the full Jacobian. Returns each row's
-    /// `(raw readout, gradient)`, where the gradient is the circuit part
-    /// `Jᵀ·∂L/∂raw` followed by `∂L/∂θ_post`.
+    /// Batched **vector-Jacobian** adjoint over one frozen adjoint
+    /// schedule — the actor update's hot path. Per row it walks the
+    /// schedule forward once, asks `pullback(row, raw readout)` for the
+    /// chain rule at the readout, `(∂L/∂raw, ∂L/∂θ_post)`, and runs one
+    /// reverse sweep over two slabs (φ and the single
+    /// `λ = Σ_j (∂L/∂raw_j) O_j ψ`) instead of building the full Jacobian.
+    /// Returns each row's gradient: the circuit part `Jᵀ·∂L/∂raw`
+    /// followed by `∂L/∂θ_post`.
     ///
     /// Same lane-chunk queue as
     /// [`BatchExecutor::forward_and_jacobian_batch_prebound`]; per row
@@ -323,31 +311,33 @@ impl BatchExecutor {
     ///
     /// Panics if `pullback` returns a readout cotangent whose length is
     /// not the readout's output count.
-    pub fn vjp_batch_prebound(
+    pub(crate) fn vjp_batch_prebound(
         &self,
         readout: &Readout,
-        groups: &[AdjointGroup<'_>],
+        group: &AdjointGroup<'_>,
         pullback: &ReadoutPullback<'_>,
-    ) -> Result<VjpBatchResults, RuntimeError> {
-        let lens = check_adjoint_groups(readout, groups)?;
-        Ok(self.run_lane_chunks(&lens, 32, |g, rows| {
+    ) -> Result<Vec<Vec<f64>>, RuntimeError> {
+        check_lane_inputs(
+            readout,
+            group.circuit.n_qubits(),
+            group.circuit.n_inputs(),
+            &group.inputs,
+        )?;
+        let mut per_group = self.run_lane_chunks(&[group.inputs.len()], 32, |_, rows| {
             let start = rows.start;
             let mut post_grads = Vec::with_capacity(rows.len());
-            let mut lanes = run_vjp_slab(
-                groups[g].circuit,
-                readout,
-                &groups[g].inputs[rows],
-                |lane, raw| {
-                    let (cotangent, post) = pullback(g, start + lane, raw);
+            let mut grads =
+                run_vjp_slab(group.circuit, readout, &group.inputs[rows], |lane, raw| {
+                    let (cotangent, post) = pullback(start + lane, raw);
                     post_grads.push(post);
                     cotangent
-                },
-            );
-            for ((_, grad), post) in lanes.iter_mut().zip(post_grads) {
+                });
+            for (grad, post) in grads.iter_mut().zip(post_grads) {
                 grad.extend(post);
             }
-            lanes
-        }))
+            grads
+        });
+        Ok(per_group.pop().expect("one group in, one out"))
     }
 
     /// The shared lane-chunk queue of the prebound paths: one task per

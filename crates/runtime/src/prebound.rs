@@ -1101,13 +1101,9 @@ impl SlabObservable {
                     }
                 }
             }
-            SlabObservable::WeightedZ(weights) => {
+            SlabObservable::WeightedZ(_) => {
                 for i in 0..dim {
-                    let mut coeff = 0.0;
-                    for (q, w) in weights.iter().enumerate() {
-                        let sign = if i & (1usize << q) == 0 { 1.0 } else { -1.0 };
-                        coeff += w * sign;
-                    }
+                    let coeff = self.diagonal(i);
                     for (a, &src) in out[i * lanes..(i + 1) * lanes]
                         .iter_mut()
                         .zip(&slab[i * lanes..(i + 1) * lanes])
@@ -1118,6 +1114,22 @@ impl SlabObservable {
             }
         }
         out
+    }
+
+    /// `⟨i|O|i⟩`: `±1` for a single-wire Z; for a weighted sum, the
+    /// serial coefficient folded over the wires in order.
+    fn diagonal(&self, i: usize) -> f64 {
+        let sign = |q: usize| if i & (1usize << q) == 0 { 1.0 } else { -1.0 };
+        match self {
+            SlabObservable::SingleZ(q) => sign(*q),
+            SlabObservable::WeightedZ(weights) => {
+                let mut coeff = 0.0;
+                for (q, w) in weights.iter().enumerate() {
+                    coeff += w * sign(q);
+                }
+                coeff
+            }
+        }
     }
 }
 
@@ -1337,30 +1349,6 @@ pub(crate) fn run_adjoint_slab(
     outs.into_iter().zip(jacs).collect()
 }
 
-/// The diagonal of every readout observable, `diag[j·dim + i] = ⟨i|O_j|i⟩`
-/// — `±1` for a single-wire Z, and the serial weighted-Z coefficient
-/// (folded over qubits in wire order, as [`SlabObservable::apply_slab`]
-/// folds it) for a weighted sum.
-fn readout_diagonals(readout: &Readout, dim: usize) -> Vec<f64> {
-    let mut diag = Vec::with_capacity(readout.output_len() * dim);
-    for obs in SlabObservable::of_readout(readout) {
-        match obs {
-            SlabObservable::SingleZ(q) => {
-                diag.extend((0..dim).map(|i| if i & (1usize << q) == 0 { 1.0 } else { -1.0 }));
-            }
-            SlabObservable::WeightedZ(weights) => diag.extend((0..dim).map(|i| {
-                let mut coeff = 0.0;
-                for (q, w) in weights.iter().enumerate() {
-                    let sign = if i & (1usize << q) == 0 { 1.0 } else { -1.0 };
-                    coeff += w * sign;
-                }
-                coeff
-            })),
-        }
-    }
-    diag
-}
-
 /// The vector-Jacobian adjoint: each lane's gradient of one scalar loss
 /// whose cotangent at the raw readout is `w = cotangent(lane, raw)`.
 ///
@@ -1373,8 +1361,7 @@ fn readout_diagonals(readout: &Readout, dim: usize) -> Vec<f64> {
 /// `Σ_j w_j ∂⟨O_j⟩/∂θ` — the Jacobian contraction `Jᵀw`, equal to it up
 /// to floating-point reassociation.
 ///
-/// Returns each lane's `(raw readout vector, circuit gradient)`. Lanes
-/// are independent and every per-lane fold runs in a fixed order, so the
+/// Returns each lane's circuit gradient. Lanes are independent and every per-lane fold runs in a fixed order, so the
 /// values do not depend on the lane count or chunking. Input lengths and
 /// the readout are the caller's responsibility.
 pub(crate) fn run_vjp_slab(
@@ -1382,7 +1369,7 @@ pub(crate) fn run_vjp_slab(
     readout: &Readout,
     inputs: &[&[f64]],
     mut cotangent: impl FnMut(usize, &[f64]) -> Vec<f64>,
-) -> Vec<(Vec<f64>, Vec<f64>)> {
+) -> Vec<Vec<f64>> {
     let lanes = inputs.len();
     if lanes == 0 {
         return Vec::new();
@@ -1391,9 +1378,7 @@ pub(crate) fn run_vjp_slab(
     let n_out = readout.output_len();
     let mut trig = LaneTrig::new(lanes);
     let mut phi = adjoint_forward(pa, inputs, &mut trig);
-    let outs = readouts_from_slab(readout, &phi, lanes);
-
-    let weights: Vec<Vec<f64>> = outs
+    let weights: Vec<Vec<f64>> = readouts_from_slab(readout, &phi, lanes)
         .iter()
         .enumerate()
         .map(|(lane, raw)| {
@@ -1402,7 +1387,11 @@ pub(crate) fn run_vjp_slab(
             w
         })
         .collect();
-    let diag = readout_diagonals(readout, dim);
+    // diag[j·dim + i] = ⟨i|O_j|i⟩: every readout observable is diagonal.
+    let diag: Vec<f64> = SlabObservable::of_readout(readout)
+        .iter()
+        .flat_map(|o| (0..dim).map(|i| o.diagonal(i)))
+        .collect();
     let mut lambda = vec![Complex64::ZERO; dim * lanes];
     for i in 0..dim {
         let row = i * lanes..(i + 1) * lanes;
@@ -1422,7 +1411,7 @@ pub(crate) fn run_vjp_slab(
             grad[p] += acc;
         }
     });
-    outs.into_iter().zip(grads).collect()
+    grads
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 //! schedule, and the batch entry points fan out over the
 //! [`BatchExecutor`].
 //!
-//! Gradient routing: `ParameterShift` and `FiniteDiff` requests go
-//! through the runtime's compiled/batched paths; `Adjoint` delegates to
-//! `vqc::grad` (a reverse sweep is inherently sequential per sample, so
-//! there is nothing for the batch engine to win within one evaluation —
-//! batches of adjoint evaluations still parallelise across samples).
+//! Gradient routing: single-sample `Adjoint` and `FiniteDiff` requests
+//! delegate to `vqc::grad`; `ParameterShift` goes through the runtime's
+//! row walk. Batches take the prebound lane-slab engines — the full
+//! Jacobian ([`CompiledVqc::forward_with_jacobian_batch_prebound`]) or,
+//! when the caller only needs `Jᵀu` for one scalar loss, the
+//! vector-Jacobian adjoint ([`CompiledVqc::vjp_batch_prebound`]).
 
 use std::sync::Arc;
 
@@ -298,8 +299,8 @@ impl CompiledVqc {
     /// `upstream(row, outputs)` — i.e. `Jᵀu` without building `J`.
     ///
     /// On the adjoint-capable (`Ideal`) backend this is one
-    /// vector-Jacobian adjoint per row
-    /// ([`BatchExecutor::vjp_batch_prebound`]): the upstream `u` is folded
+    /// vector-Jacobian adjoint per row on the executor's prebound
+    /// lane-slab queue: the upstream `u` is folded
     /// through the head into readout weights (`u ∘ scale` for
     /// [`OutputHead::Affine`], `u` for [`OutputHead::None`]), a single λ
     /// is swept back over two slabs, and the head gradients are
@@ -345,7 +346,7 @@ impl CompiledVqc {
             circuit: &prebound,
             inputs: scaled.iter().map(|v| v.as_slice()).collect(),
         };
-        let pullback = |_: usize, row: usize, raw: &[f64]| {
+        let pullback = |row: usize, raw: &[f64]| {
             let u = upstream(row, &self.model.apply_head(raw, scales, biases));
             match self.model.output_head() {
                 OutputHead::None => (u, Vec::new()),
@@ -357,15 +358,8 @@ impl CompiledVqc {
                 }
             }
         };
-        let mut per_group =
-            self.executor
-                .vjp_batch_prebound(self.model.readout(), &[group], &pullback)?;
-        Ok(per_group
-            .pop()
-            .expect("one group in, one out")
-            .into_iter()
-            .map(|(_, grad)| grad)
-            .collect())
+        self.executor
+            .vjp_batch_prebound(self.model.readout(), &group, &pullback)
     }
 
     /// Batched scalar evaluation (critic values): the first output of
