@@ -380,22 +380,6 @@ impl CompiledVqc {
             .collect())
     }
 
-    /// Single-sample adjoint Jacobian through the uncompiled model —
-    /// exposed for completeness/testing parity with [`grad::jacobian`].
-    ///
-    /// # Errors
-    ///
-    /// Returns binding-length errors.
-    pub fn jacobian_adjoint(
-        &self,
-        inputs: &[f64],
-        params: &[f64],
-    ) -> Result<(Vec<f64>, Jacobian), RuntimeError> {
-        Ok(self
-            .model
-            .forward_with_jacobian(inputs, params, GradMethod::Adjoint)?)
-    }
-
     /// Freezes `params` into a [`PreboundVqc`] inference handle: the
     /// circuit parameters are split and prebound once
     /// ([`crate::prebound::prebind`] hoists all parameter-only rotation
