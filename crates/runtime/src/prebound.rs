@@ -1361,9 +1361,10 @@ pub(crate) fn run_adjoint_slab(
 /// `Σ_j w_j ∂⟨O_j⟩/∂θ` — the Jacobian contraction `Jᵀw`, equal to it up
 /// to floating-point reassociation.
 ///
-/// Returns each lane's circuit gradient. Lanes are independent and every per-lane fold runs in a fixed order, so the
-/// values do not depend on the lane count or chunking. Input lengths and
-/// the readout are the caller's responsibility.
+/// Returns each lane's circuit gradient. Lanes are independent and every
+/// per-lane fold runs in a fixed order, so the values do not depend on
+/// the lane count or chunking. Input lengths and the readout are the
+/// caller's responsibility.
 pub(crate) fn run_vjp_slab(
     pa: &PreboundAdjoint,
     readout: &Readout,

@@ -300,19 +300,15 @@ impl CompiledVqc {
     ///
     /// On the adjoint-capable (`Ideal`) backend this is one
     /// vector-Jacobian adjoint per row on the executor's prebound
-    /// lane-slab queue: the upstream `u` is folded
-    /// through the head into readout weights (`u ∘ scale` for
-    /// [`OutputHead::Affine`], `u` for [`OutputHead::None`]), a single λ
-    /// is swept back over two slabs, and the head gradients are
-    /// `u_k · raw_k` (scales) and `u_k` (biases). The values agree with
+    /// lane-slab queue: the upstream `u` is folded through the head into
+    /// readout weights (`u ∘ scale` for [`OutputHead::Affine`], `u` for
+    /// [`OutputHead::None`]), a single λ is swept back over two slabs, and
+    /// the head gradients are `u_k · raw_k` (scales) and `u_k` (biases). The values agree with
     /// [`CompiledVqc::forward_with_jacobian_batch_prebound`] followed by
     /// [`Jacobian::vjp`] to floating-point reassociation (≤ 1e-12
     /// relative in the tests), and are bit-identical across row counts,
     /// worker counts and SIMD dispatch. Other backends contract the
     /// Jacobian of their own gradient route.
-    ///
-    /// [`OutputHead::Affine`]: qmarl_vqc::qnn::OutputHead::Affine
-    /// [`OutputHead::None`]: qmarl_vqc::qnn::OutputHead::None
     ///
     /// # Errors
     ///
